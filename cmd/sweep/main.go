@@ -26,6 +26,7 @@ import (
 	"smartbadge/internal/experiments"
 	"smartbadge/internal/fleet"
 	"smartbadge/internal/obs"
+	"smartbadge/internal/parallel"
 	"smartbadge/internal/prof"
 	"smartbadge/internal/thrcache"
 	"smartbadge/internal/units"
@@ -54,7 +55,7 @@ func main() {
 	flag.Parse()
 
 	err := prof.WithCPUProfile(*cpuprofile, func() error {
-		return run(os.Stdout, sweepConfig{
+		return run(os.Stdout, os.Stderr, sweepConfig{
 			what:          *what,
 			seed:          *seed,
 			probs:         *probs,
@@ -89,7 +90,9 @@ type sweepConfig struct {
 	ckptKillAfter int
 }
 
-func run(w io.Writer, sc sweepConfig) error {
+// run executes one sweep: results go to w, timing and resume telemetry to
+// stderr, so w stays byte-identical across runs and worker counts.
+func run(w, stderr io.Writer, sc sweepConfig) error {
 	what, seed, workers := sc.what, sc.seed, sc.workers
 	probsFlag, faultsFlag, fleetN := sc.probs, sc.faults, sc.fleetN
 	cache, err := thrcache.Open(sc.thrCache)
@@ -206,7 +209,7 @@ func run(w io.Writer, sc sweepConfig) error {
 			if st := store.Stats(); st.Restored > 0 || st.Dropped > 0 {
 				// Resume telemetry is stderr-only, like throughput: stdout
 				// must stay byte-identical to an uninterrupted run.
-				fmt.Fprintf(os.Stderr, "fleet: resuming from %s (%d restored, %d dropped, healed=%t)\n",
+				fmt.Fprintf(stderr, "fleet: resuming from %s (%d restored, %d dropped, healed=%t)\n",
 					sc.ckptDir, st.Restored, st.Dropped, st.Healed)
 			}
 			journal = store
@@ -247,9 +250,11 @@ func run(w io.Writer, sc sweepConfig) error {
 		fmt.Fprintf(w, "# mean_delay_s p50=%.6f p90=%.6f p99=%.6f\n", a.DelayP50S, a.DelayP90S, a.DelayP99S)
 		// Throughput is timing, not result: it goes to stderr so stdout stays
 		// bit-identical across runs and worker counts.
+		// The worker count is resolved as fleet.Run resolves it: -j 0 means
+		// GOMAXPROCS, and no more workers than badges.
 		if s := elapsed.Seconds(); s > 0 {
-			fmt.Fprintf(os.Stderr, "fleet: %d runs in %.2fs (%.2f runs/sec, %d workers)\n",
-				a.Runs, s, float64(a.Runs)/s, workers)
+			fmt.Fprintf(stderr, "fleet: %d runs in %.2fs (%.2f runs/sec, %d workers)\n",
+				a.Runs, s, float64(a.Runs)/s, min(parallel.Workers(workers), fleetN))
 		}
 		return art.Close()
 	default:

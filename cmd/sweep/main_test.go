@@ -3,15 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func TestRunPareto(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, sweepConfig{what: "pareto", seed: 1, thrCache: "off"}); err != nil {
+	if err := run(&buf, io.Discard, sweepConfig{what: "pareto", seed: 1, thrCache: "off"}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -25,7 +27,7 @@ func TestRunPareto(t *testing.T) {
 
 func TestRunWakeProb(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, sweepConfig{what: "wakeprob", seed: 1, probs: "1,0.1", thrCache: "off"}); err != nil {
+	if err := run(&buf, io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "1,0.1", thrCache: "off"}); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -35,13 +37,13 @@ func TestRunWakeProb(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(io.Discard, sweepConfig{what: "bogus", seed: 1, thrCache: "off"}); err == nil {
+	if err := run(io.Discard, io.Discard, sweepConfig{what: "bogus", seed: 1, thrCache: "off"}); err == nil {
 		t.Error("unknown sweep accepted")
 	}
-	if err := run(io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "x", thrCache: "off"}); err == nil {
+	if err := run(io.Discard, io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "x", thrCache: "off"}); err == nil {
 		t.Error("bad probs accepted")
 	}
-	if err := run(io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "0", thrCache: "off"}); err == nil {
+	if err := run(io.Discard, io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "0", thrCache: "off"}); err == nil {
 		t.Error("zero probability accepted")
 	}
 }
@@ -50,10 +52,10 @@ func TestRunErrors(t *testing.T) {
 // is byte-identical whether the sweep runs serially or fanned out.
 func TestRunWakeProbWorkerCountInvariant(t *testing.T) {
 	var serial, fanned bytes.Buffer
-	if err := run(&serial, sweepConfig{what: "wakeprob", seed: 2, probs: "1,0.1", workers: 1, thrCache: "off"}); err != nil {
+	if err := run(&serial, io.Discard, sweepConfig{what: "wakeprob", seed: 2, probs: "1,0.1", workers: 1, thrCache: "off"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&fanned, sweepConfig{what: "wakeprob", seed: 2, probs: "1,0.1", workers: 4, thrCache: "off"}); err != nil {
+	if err := run(&fanned, io.Discard, sweepConfig{what: "wakeprob", seed: 2, probs: "1,0.1", workers: 4, thrCache: "off"}); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != fanned.String() {
@@ -67,10 +69,10 @@ func TestRunWakeProbWorkerCountInvariant(t *testing.T) {
 func TestRunFleet(t *testing.T) {
 	cacheDir := t.TempDir()
 	var serial, fanned bytes.Buffer
-	if err := run(&serial, sweepConfig{what: "fleet", seed: 5, workers: 1, fleetN: 4, thrCache: cacheDir}); err != nil {
+	if err := run(&serial, io.Discard, sweepConfig{what: "fleet", seed: 5, workers: 1, fleetN: 4, thrCache: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&fanned, sweepConfig{what: "fleet", seed: 5, workers: 4, fleetN: 4, thrCache: cacheDir}); err != nil {
+	if err := run(&fanned, io.Discard, sweepConfig{what: "fleet", seed: 5, workers: 4, fleetN: 4, thrCache: cacheDir}); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != fanned.String() {
@@ -94,8 +96,28 @@ func TestRunFleet(t *testing.T) {
 	if comments != 3 {
 		t.Errorf("aggregate comment lines = %d, want 3", comments)
 	}
-	if err := run(io.Discard, sweepConfig{what: "fleet", seed: 5, workers: 1, thrCache: "off"}); err == nil {
+	if err := run(io.Discard, io.Discard, sweepConfig{what: "fleet", seed: 5, workers: 1, thrCache: "off"}); err == nil {
 		t.Error("zero-badge fleet accepted")
+	}
+}
+
+// TestRunFleetReportsResolvedWorkers pins the throughput line on stderr:
+// it names the worker count the fleet actually ran with (-j 0 resolved to
+// GOMAXPROCS, and never more workers than badges), not the raw flag.
+func TestRunFleetReportsResolvedWorkers(t *testing.T) {
+	cacheDir := t.TempDir()
+	for _, tc := range []struct{ j, badges, want int }{
+		{0, 2, min(runtime.GOMAXPROCS(0), 2)},
+		{5, 2, 2},
+		{1, 2, 1},
+	} {
+		var stderr bytes.Buffer
+		if err := run(io.Discard, &stderr, sweepConfig{what: "fleet", seed: 5, workers: tc.j, fleetN: tc.badges, thrCache: cacheDir}); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf(" runs/sec, %d workers)\n", tc.want); !strings.HasPrefix(stderr.String(), "fleet: ") || !strings.HasSuffix(stderr.String(), want) {
+			t.Errorf("-j %d -fleet %d: stderr %q, want a throughput line ending %q", tc.j, tc.badges, stderr.String(), want)
+		}
 	}
 }
 
@@ -105,7 +127,7 @@ func TestRunObservabilityArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	metrics := dir + "/sweep.metrics.json"
 	trace := dir + "/sweep.trace.jsonl"
-	if err := run(io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "1,0.1", thrCache: "off", metricsOut: metrics, traceOut: trace}); err != nil {
+	if err := run(io.Discard, io.Discard, sweepConfig{what: "wakeprob", seed: 1, probs: "1,0.1", thrCache: "off", metricsOut: metrics, traceOut: trace}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(metrics)

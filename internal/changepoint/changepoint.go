@@ -12,13 +12,38 @@
 //	ln P(k) = (m − k)·ln(λn/λo) − (λn − λo)·Σ_{j=k+1..m} x_j
 //
 // The detection statistic for a candidate new rate λn is max_k ln P(k); only
-// the suffix sums of the window are needed. On-line, the detector reads each
-// suffix sum in O(1) from the window's compensated prefix ring
-// (stats.Window.SuffixSum), filling a scratch once per check and sharing it
-// across all candidates — constant per-sample bookkeeping, no allocation.
-// Config.NaiveStats selects the reference O(m)-per-candidate backward-pass
-// recomputation instead (characterisation always uses the backward pass, so
-// thresholds are independent of the flag).
+// the suffix sums S_k = Σ_{j=k+1..m} x_j of the window are needed, and the
+// detector reads each in O(1) from the window's compensated prefix ring
+// (stats.Window.SuffixSum).
+//
+// Bound and verify. A check only has to act on candidates whose maximum
+// exceeds their threshold, so the detector never scans all m points per
+// candidate. It reads S_k at block boundaries k_0 = 0 < k_1 < … < k_r = m−1,
+// about every blockLen samples. S_k does not increase with k, so on a block
+// [a, b] every point is bounded by
+//
+//	(m − a)·L − δ·S_b   when λn > λo (L = ln(λn/λo) > 0, δ = λn − λo > 0)
+//	(m − b)·L − δ·S_a   when λn < λo (L < 0, δ < 0)
+//
+// and only blocks whose bound exceeds the threshold are filled and scored
+// point by point, in ascending k with the >= tie-break of the full scan.
+// Every point above the threshold lies in a scored block, so whenever the
+// full scan's maximum exceeds the threshold the bounded walk returns the
+// same maximum and the same (largest) argmax, bit for bit; when it does not,
+// neither fires. The bound is certified in floating point, not only in real
+// arithmetic: it is evaluated in the same expression shape as the point
+// statistic, with each product rounded explicitly by float64(...) so no
+// platform may fuse a multiply-add into either, and IEEE rounding is
+// monotone, so a larger operand never yields a smaller rounded result. The
+// computed suffix sums are monotone only to within the prefix ring's
+// rounding, so the block's end sums are widened by a slack of a few units
+// of roundoff of the stream prefix (see checkSlack) before they enter the
+// bound.
+//
+// Config.NaiveStats selects the reference path instead: the window is
+// materialised and every candidate is rescored by an O(m) backward pass
+// (characterisation always uses that pass, so thresholds are independent of
+// the flag).
 //
 // Off-line characterisation. For each (λo, λn) pair from the predefined rate
 // set Λ, windows are simulated under the null hypothesis (all m samples at
@@ -28,7 +53,8 @@
 // happened. Because the null distribution of ln P(k) depends on (λo, λn)
 // only through the ratio λn/λo (λo·Σx is a Gamma(m−k, 1) pivot), thresholds
 // are cached per ratio, which collapses a geometric rate grid to a handful
-// of simulations.
+// of simulations. A detector resolves its G×G table of log ratios, rate
+// differences and thresholds once, in NewDetector.
 //
 // On-line detection. Every k-th observation (the paper's check interval),
 // the detector evaluates the statistic for every candidate λn ≠ λo and
@@ -101,13 +127,15 @@ type Config struct {
 	// NaiveStats selects the reference statistic path for on-line detection:
 	// at every check the window is materialised and each candidate's suffix
 	// sums are recomputed by a backward O(m) pass (the pre-optimisation
-	// code). The default (false) is the incremental path: the window's
-	// compensated prefix ring serves every suffix sum in O(1), computed once
-	// per check and shared across candidates, with no allocation. The two
-	// paths differ only at rounding level in the statistic; the root golden
-	// regression asserts full-run byte-identity between them. Off-line
-	// characterisation ignores this field (and the threshold cache therefore
-	// excludes it from its key).
+	// code). The default (false) is the bound-and-verify path described in
+	// the package comment: suffix sums are O(1) reads of the window's
+	// compensated prefix ring, taken at block boundaries, and only blocks
+	// whose certified upper bound exceeds the threshold are scored point by
+	// point, with no allocation. The two paths differ only at rounding level
+	// in the statistic (prefix-ring versus backward-pass sums); the root
+	// golden regression asserts full-run byte-identity between them.
+	// Off-line characterisation ignores this field (and the threshold cache
+	// therefore excludes it from its key).
 	NaiveStats bool
 }
 
@@ -196,17 +224,22 @@ func GeometricRates(lo, hi float64, n int) ([]float64, error) {
 // SnapRate returns the candidate rate closest to x (in log space, since the
 // grid is ratio-structured). It panics on an empty grid.
 func SnapRate(rates []float64, x float64) float64 {
+	return rates[snapIndex(rates, x)]
+}
+
+// snapIndex is SnapRate returning the grid index.
+func snapIndex(rates []float64, x float64) int {
 	if len(rates) == 0 {
 		panic("changepoint: empty rate grid")
 	}
 	if x <= 0 {
-		return rates[0]
+		return 0
 	}
-	best := rates[0]
-	bestD := math.Abs(math.Log(x / best))
-	for _, r := range rates[1:] {
+	best := 0
+	bestD := math.Abs(math.Log(x / rates[0]))
+	for i, r := range rates[1:] {
 		if d := math.Abs(math.Log(x / r)); d < bestD {
-			best, bestD = r, d
+			best, bestD = i+1, d
 		}
 	}
 	return best
@@ -232,39 +265,6 @@ func logLikelihoodMax(values []float64, oldRate, newRate float64) (best float64,
 		}
 	}
 	return best, bestK
-}
-
-// likelihoodMaxFromSuffixes is logLikelihoodMax with the suffix sums already
-// in hand: sufs[k] = Σ_{j=k+1..m} x_j. The forward scan with >= keeps the
-// largest k among tied maxima, matching the reference backward pass (which
-// keeps the first maximum it meets coming down from k = m-1).
-func likelihoodMaxFromSuffixes(sufs []float64, oldRate, newRate float64) (best float64, bestK int) {
-	m := len(sufs)
-	logRatio := math.Log(newRate / oldRate)
-	delta := newRate - oldRate
-	best = math.Inf(-1)
-	bestK = m
-	for k := 0; k < m; k++ {
-		lp := float64(m-k)*logRatio - delta*sufs[k]
-		if lp >= best {
-			best = lp
-			bestK = k
-		}
-	}
-	return best, bestK
-}
-
-// suffixSums fills the detector's reusable scratch with the n suffix sums of
-// the current window, each an O(1) prefix-ring read.
-func (d *Detector) suffixSums(n int) []float64 {
-	if cap(d.sufs) < n {
-		d.sufs = make([]float64, n)
-	}
-	sufs := d.sufs[:n]
-	for k := 0; k < n; k++ {
-		sufs[k] = d.window.SuffixSum(n - k)
-	}
-	return sufs
 }
 
 // Thresholds holds the characterised detection thresholds, keyed by rate
@@ -537,23 +537,47 @@ type Detection struct {
 	Refined bool
 }
 
+// blockLen is the spacing, in samples, of the block boundaries at which a
+// check reads suffix sums to bound the statistic (see the package comment).
+// Shorter blocks give tighter bounds but more boundary reads per check.
+const blockLen = 10
+
+// unitRoundoff is u = 2⁻⁵³, the relative rounding error bound of float64.
+const unitRoundoff = 0x1p-53
+
+// ratePair is the precomputed state of one (λo, λn) candidate pair.
+type ratePair struct {
+	logRatio  float64 // ln(λn/λo)
+	delta     float64 // λn − λo
+	threshold float64 // characterised null quantile for λn/λo
+}
+
 // Detector performs on-line change detection over a stream of interarrival
 // or decoding times.
 type Detector struct {
-	cfg        Config
-	thresholds *Thresholds
-	window     *stats.Window
-	current    float64
+	cfg    Config
+	window *stats.Window
+	// cur is the index in cfg.Rates of the current rate estimate.
+	cur        int
 	sinceCheck int
 	observed   int
 	// sinceDetect counts clean post-detection samples while refinement is
 	// active; -1 means no refinement pending.
 	sinceDetect int
-	// sufs is the per-check suffix-sum scratch of the incremental path:
-	// sufs[k] = Σ_{j=k+1..m} x_j, filled once per check from the window's
-	// O(1) prefix ring and shared by every candidate rate. Reused across
-	// checks, so the steady-state Observe path never allocates.
-	sufs []float64
+	// pairs[o*G+n] holds the (cfg.Rates[o] → cfg.Rates[n]) candidate pair,
+	// G = len(cfg.Rates); the diagonal is unused.
+	pairs []ratePair
+
+	// Per-check scratch, sized for a full window in NewDetector so Observe
+	// never allocates. sufs[k] = Σ_{j=k+1..n} x_j is valid at every block
+	// boundary, and inside block b once filled[b] is set. bounds holds the
+	// block boundaries k_0 = 0 < … < k_r = n−1; block b is
+	// [bounds[b], bounds[b+1]]. slack widens the boundary sums to cover the
+	// prefix ring's rounding (see checkSlack).
+	sufs   []float64
+	bounds []int
+	filled []bool
+	slack  float64
 
 	// Observability (nil when uninstrumented — the fast path).
 	tr      *obs.Tracer
@@ -564,7 +588,8 @@ type Detector struct {
 
 // NewDetector builds a detector starting from the given initial rate, which
 // is snapped to the candidate grid. The thresholds must come from
-// Characterise with the same Config.
+// Characterise with the same Config; a rate ratio of the grid that they do
+// not cover is an error.
 func NewDetector(cfg Config, th *Thresholds, initialRate float64) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -579,12 +604,30 @@ func NewDetector(cfg Config, th *Thresholds, initialRate float64) (*Detector, er
 	if initialRate <= 0 {
 		return nil, fmt.Errorf("changepoint: initial rate must be positive, got %v", initialRate)
 	}
+	g := len(cfg.Rates)
+	pairs := make([]ratePair, g*g)
+	for o, lo := range cfg.Rates {
+		for n, ln := range cfg.Rates {
+			if o == n {
+				continue
+			}
+			v, err := th.For(lo, ln)
+			if err != nil {
+				return nil, err
+			}
+			pairs[o*g+n] = ratePair{logRatio: math.Log(ln / lo), delta: ln - lo, threshold: v}
+		}
+	}
+	blocks := (cfg.WindowSize-2)/blockLen + 1 // the most a check over n <= WindowSize samples uses
 	return &Detector{
 		cfg:         cfg,
-		thresholds:  th,
 		window:      stats.NewWindow(cfg.WindowSize),
-		current:     SnapRate(cfg.Rates, initialRate),
+		cur:         snapIndex(cfg.Rates, initialRate),
 		sinceDetect: -1,
+		pairs:       pairs,
+		sufs:        make([]float64, cfg.WindowSize),
+		bounds:      make([]int, 0, blocks+1),
+		filled:      make([]bool, blocks),
 	}, nil
 }
 
@@ -619,7 +662,7 @@ func (d *Detector) observeDetection(det Detection) {
 }
 
 // CurrentRate returns the detector's current rate estimate (a grid rate).
-func (d *Detector) CurrentRate() float64 { return d.current }
+func (d *Detector) CurrentRate() float64 { return d.cfg.Rates[d.cur] }
 
 // Observed returns the total number of samples seen.
 func (d *Detector) Observed() int { return d.observed }
@@ -628,10 +671,77 @@ func (d *Detector) Observed() int { return d.observed }
 // window; used when the power manager knows the regime changed for reasons
 // outside the sample stream (e.g. a new clip started after an idle period).
 func (d *Detector) SetRate(rate float64) {
-	d.current = SnapRate(d.cfg.Rates, rate)
+	d.cur = snapIndex(d.cfg.Rates, rate)
 	d.window.Reset()
 	d.sinceCheck = 0
 	d.sinceDetect = -1
+}
+
+// checkSlack bounds how far the computed suffix sums may stray from being
+// monotone in k. Each is the difference between the stream prefix P and
+// the prefix stored when the sample was pushed. A stored prefix is a
+// rounded Neumaier-compensated sum of non-negative samples: within u·P of
+// the exact prefix, plus at most (N·u)²·P from rounding the compensation
+// term over N pushes (u = 2⁻⁵³). Each difference adds one rounding of at
+// most u·P. Two computed sums whose exact values are ordered can therefore
+// be inverted by at most 4u·P + 2(N·u)²·P; the slack is twice that. N is
+// bounded by the samples observed plus one window of re-pushes after the
+// last reset.
+func (d *Detector) checkSlack() float64 {
+	nu := float64(d.observed+d.window.Cap()) * unitRoundoff
+	return (8*unitRoundoff + 4*nu*nu) * d.window.Prefix()
+}
+
+// loadBlocks prepares a bounded check over the n buffered samples: it lays
+// out the block boundaries, reads the suffix sum at each and resets the
+// per-block fill marks.
+func (d *Detector) loadBlocks(n int) {
+	d.bounds = d.bounds[:0]
+	for k := 0; k < n-1; k += blockLen {
+		d.bounds = append(d.bounds, k)
+	}
+	d.bounds = append(d.bounds, n-1)
+	for _, k := range d.bounds {
+		d.sufs[k] = d.window.SuffixSum(n - k)
+	}
+	clear(d.filled)
+	d.slack = d.checkSlack()
+}
+
+// maxAbove returns max_k ln P(k) over the n buffered samples and its
+// largest argmax for the candidate pair p, exactly as the full scan would —
+// provided that maximum exceeds p.threshold. Otherwise the returned maximum
+// does not exceed the threshold either (it is -Inf when no block needed
+// scoring). loadBlocks must have run for this check.
+func (d *Detector) maxAbove(n int, p ratePair) (best float64, bestK int) {
+	best, bestK = math.Inf(-1), n
+	for b := 0; b+1 < len(d.bounds); b++ {
+		lo, hi := d.bounds[b], d.bounds[b+1]
+		var bound float64
+		if p.delta > 0 {
+			bound = float64(float64(n-lo)*p.logRatio) - float64(p.delta*(d.sufs[hi]-d.slack))
+		} else {
+			bound = float64(float64(n-hi)*p.logRatio) - float64(p.delta*(d.sufs[lo]+d.slack))
+		}
+		if bound <= p.threshold {
+			continue
+		}
+		if !d.filled[b] {
+			for k := lo + 1; k < hi; k++ {
+				d.sufs[k] = d.window.SuffixSum(n - k)
+			}
+			d.filled[b] = true
+		}
+		// Adjacent scored blocks both score their shared boundary; scoring
+		// a point twice in a row cannot change (best, bestK).
+		for k := lo; k <= hi; k++ {
+			lp := float64(float64(n-k)*p.logRatio) - float64(p.delta*d.sufs[k])
+			if lp >= best {
+				best, bestK = lp, k
+			}
+		}
+	}
+	return best, bestK
 }
 
 // Observe feeds one interarrival (or decoding) time. It returns a Detection
@@ -645,6 +755,7 @@ func (d *Detector) Observe(x float64) (Detection, bool) {
 	d.window.Push(x)
 	d.observed++
 	d.sinceCheck++
+	rates := d.cfg.Rates
 	// Refinement after a recent detection (see Config.RefineAfter): every
 	// RefineAfter samples, re-estimate the rate over the samples observed
 	// since the detection (a clean post-change suffix — anything older may
@@ -665,16 +776,16 @@ func (d *Detector) Observe(x float64) (Detection, bool) {
 			if s := d.window.SuffixSum(n); s > 0 {
 				mle = float64(n) / s
 			}
-			if snapped := SnapRate(d.cfg.Rates, mle); mle > 0 && snapped != d.current {
+			if snapped := snapIndex(rates, mle); mle > 0 && snapped != d.cur {
 				det := Detection{
-					OldRate:      d.current,
-					NewRate:      snapped,
+					OldRate:      rates[d.cur],
+					NewRate:      rates[snapped],
 					SampleIndex:  d.observed,
 					ChangeOffset: d.window.Len() - n,
 					MLERate:      mle,
 					Refined:      true,
 				}
-				d.current = snapped
+				d.cur = snapped
 				// Adopt-and-trim, exactly like the threshold-crossing path
 				// below: discard the samples that predate the original
 				// detection (they may predate the change itself — the
@@ -700,76 +811,50 @@ func (d *Detector) Observe(x float64) (Detection, bool) {
 		return Detection{}, false
 	}
 	d.sinceCheck = 0
-	bestMargin := 0.0
-	var best Detection
-	var values []float64 // window contents; materialised lazily on the incremental path
-	found := false
+	n := d.window.Len()
+	var values []float64 // window contents; materialised lazily on the bounded path
 	if d.cfg.NaiveStats {
-		// Reference path: materialise the window and recompute every
-		// candidate's suffix sums with a backward pass.
 		values = d.window.Values()
-		for _, cand := range d.cfg.Rates {
-			if cand == d.current {
-				continue
-			}
-			th, err := d.thresholds.For(d.current, cand)
-			if err != nil {
-				// Unreachable when thresholds match the config; fail loudly.
-				panic(err)
-			}
-			s, k := logLikelihoodMax(values, d.current, cand)
-			if margin := s - th; s > th && margin > bestMargin {
-				suffix := values[k:]
-				mle := stats.MeanRate(suffix)
-				best = Detection{
-					OldRate:      d.current,
-					NewRate:      cand,
-					SampleIndex:  d.observed,
-					ChangeOffset: k,
-					Statistic:    s,
-					Threshold:    th,
-					MLERate:      mle,
-				}
-				bestMargin = margin
-				found = true
-			}
-		}
 	} else {
-		// Incremental path: every suffix sum is an O(1) read of the window's
-		// compensated prefix ring, filled once and shared across candidates —
-		// no allocation, no per-candidate re-summation.
-		n := d.window.Len()
-		sufs := d.suffixSums(n)
-		for _, cand := range d.cfg.Rates {
-			if cand == d.current {
-				continue
+		d.loadBlocks(n)
+	}
+	bestMargin := 0.0
+	bestIdx := -1
+	var best Detection
+	g := len(rates)
+	for j, cand := range rates {
+		if j == d.cur {
+			continue
+		}
+		p := d.pairs[d.cur*g+j]
+		var s float64
+		var k int
+		if d.cfg.NaiveStats {
+			s, k = logLikelihoodMax(values, rates[d.cur], cand)
+		} else {
+			s, k = d.maxAbove(n, p)
+		}
+		if margin := s - p.threshold; s > p.threshold && margin > bestMargin {
+			var mle float64
+			if d.cfg.NaiveStats {
+				mle = stats.MeanRate(values[k:])
+			} else if suf := d.sufs[k]; suf > 0 {
+				mle = float64(n-k) / suf
 			}
-			th, err := d.thresholds.For(d.current, cand)
-			if err != nil {
-				// Unreachable when thresholds match the config; fail loudly.
-				panic(err)
+			best = Detection{
+				OldRate:      rates[d.cur],
+				NewRate:      cand,
+				SampleIndex:  d.observed,
+				ChangeOffset: k,
+				Statistic:    s,
+				Threshold:    p.threshold,
+				MLERate:      mle,
 			}
-			s, k := likelihoodMaxFromSuffixes(sufs, d.current, cand)
-			if margin := s - th; s > th && margin > bestMargin {
-				var mle float64
-				if suf := sufs[k]; suf > 0 {
-					mle = float64(n-k) / suf
-				}
-				best = Detection{
-					OldRate:      d.current,
-					NewRate:      cand,
-					SampleIndex:  d.observed,
-					ChangeOffset: k,
-					Statistic:    s,
-					Threshold:    th,
-					MLERate:      mle,
-				}
-				bestMargin = margin
-				found = true
-			}
+			bestMargin = margin
+			bestIdx = j
 		}
 	}
-	if !found {
+	if bestIdx < 0 {
 		return Detection{}, false
 	}
 	if values == nil {
@@ -781,11 +866,12 @@ func (d *Detector) Observe(x float64) (Detection, bool) {
 	// the suffix mean says *to what*.
 	post := values[best.ChangeOffset:]
 	if len(post) >= 5 && best.MLERate > 0 {
-		if snapped := SnapRate(d.cfg.Rates, best.MLERate); snapped != d.current {
-			best.NewRate = snapped
+		if snapped := snapIndex(rates, best.MLERate); snapped != d.cur {
+			bestIdx = snapped
+			best.NewRate = rates[snapped]
 		}
 	}
-	d.current = best.NewRate
+	d.cur = bestIdx
 	d.window.Reset()
 	for _, v := range post {
 		d.window.Push(v)

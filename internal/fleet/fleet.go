@@ -5,12 +5,15 @@
 // stats.RNG.SplitAt(i) off the batch seed, so every badge is reproducible in
 // isolation and the batch result is bit-identical for any worker count.
 //
-// Execution is sharded, not work-stolen: worker w of W simulates badges
-// w, w+W, w+2W, … and owns one sim.Scratch recycled across its runs (event
-// heap, energy accumulators, power vectors — the per-run allocations that
-// dominate small simulations). Results land in an index-addressed slice and
-// aggregates are folded serially afterwards, which is what makes the report
-// independent of scheduling and of W.
+// Execution is work-claiming: each of W workers repeatedly claims the next
+// unclaimed badge index from a shared atomic counter, so a worker that drew
+// cheap badges goes on to take more instead of idling while another works
+// through a stripe of expensive ones. Each worker owns one sim.Scratch
+// recycled across its runs (event heap, energy accumulators, power vectors —
+// the per-run allocations that dominate small simulations), and a badge's
+// result never depends on which scratch ran it. Results land in an
+// index-addressed slice and aggregates are folded serially afterwards, which
+// is what makes the report independent of scheduling and of W.
 //
 // fleet is part of the determinism contract (see
 // internal/analysis/detcheck): no wall clock, no ambient math/rand, no
@@ -28,6 +31,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"smartbadge/internal/device"
 	"smartbadge/internal/dpm"
@@ -223,7 +227,7 @@ type Report struct {
 
 // Journal is the checkpoint seam RunResumeCtx writes through — the subset
 // of *ckpt.Store the fleet needs. Implementations must be safe for
-// concurrent Append from shard workers.
+// concurrent Append from fleet workers.
 type Journal interface {
 	// Get returns the stored payload for badge i, if one exists.
 	Get(i int) (json.RawMessage, bool)
@@ -239,7 +243,7 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // RunCtx is Run with cooperative cancellation for request-scoped callers
-// (the serving daemon): every shard checks ctx between badges, so a
+// (the serving daemon): every worker checks ctx between badges, so a
 // cancelled request aborts after the badge currently simulating finishes —
 // not after the whole batch — and the returned error satisfies
 // errors.Is(err, ctx.Err()). A run that is not cancelled is bit-identical
@@ -283,14 +287,19 @@ func RunResumeCtx(ctx context.Context, cfg Config, j Journal) (*Report, error) {
 			done[i] = true
 		}
 	}
-	// One task per shard (not per badge): shard s owns badges s, s+w, …,
-	// and a private Scratch recycled across them. parallel.ForEachCtx with
-	// n == workers runs each shard exactly once.
-	err := parallel.ForEachCtx(ctx, w, w, func(shard int) error {
+	// One task per worker (not per badge): each worker keeps a private
+	// Scratch and claims badge indices from next until none remain.
+	// parallel.ForEachCtx with n == workers runs each worker exactly once.
+	var next atomic.Int64
+	err := parallel.ForEachCtx(ctx, w, w, func(int) error {
 		sc := sim.NewScratch()
-		for i := shard; i < n; i += w {
+		for {
 			if err := ctx.Err(); err != nil {
 				return err
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return nil
 			}
 			if done[i] {
 				continue
@@ -298,7 +307,7 @@ func RunResumeCtx(ctx context.Context, cfg Config, j Journal) (*Report, error) {
 			r, err := runBadgeRecover(&cfg, i, &sc)
 			if err != nil {
 				// Isolate the failure: record it in the index-addressed
-				// slot and keep the shard going. Failed badges are never
+				// slot and keep the worker going. Failed badges are never
 				// journaled, so a resume retries them.
 				fails[i] = &BadgeError{Index: i, Spec: cfg.SpecFor(i), Cause: err}
 				continue
@@ -310,7 +319,6 @@ func RunResumeCtx(ctx context.Context, cfg Config, j Journal) (*Report, error) {
 				}
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -339,8 +347,8 @@ func RunResumeCtx(ctx context.Context, cfg Config, j Journal) (*Report, error) {
 var runBadgeFn = runBadge
 
 // runBadgeRecover runs one badge with panic isolation. A panicking
-// simulation may leave the shard's scratch mid-run, so the scratch is
-// replaced before the shard continues; error returns keep it (runBadge's
+// simulation may leave the worker's scratch mid-run, so the scratch is
+// replaced before the worker continues; error returns keep it (runBadge's
 // error paths never abandon a simulation half-stepped).
 func runBadgeRecover(cfg *Config, i int, sc **sim.Scratch) (r BadgeResult, err error) {
 	defer func() {

@@ -28,19 +28,35 @@ func smallConfig(n, workers int) Config {
 
 // TestWorkerInvariance is the batch determinism contract: the full report —
 // every per-badge result and every aggregate — must be bit-identical for
-// 1, 4 and 16 workers, so shard assignment is unobservable.
+// any worker count, so which worker claims which badge is unobservable. The
+// mp3/mpeg batch alternates cheap and expensive badges, so workers claim
+// uneven index sets and recycle their scratch across both apps.
 func TestWorkerInvariance(t *testing.T) {
-	base, err := Run(smallConfig(6, 1))
-	if err != nil {
-		t.Fatal(err)
+	mixed := func(n, workers int) Config {
+		cfg := smallConfig(n, workers)
+		cfg.Apps = []string{"mp3", "mpeg"}
+		return cfg
 	}
-	for _, w := range []int{4, 16} {
-		got, err := Run(smallConfig(6, w))
+	for _, tc := range []struct {
+		name    string
+		cfg     func(n, workers int) Config
+		workers []int
+	}{
+		{"mp3", smallConfig, []int{4, 16}},
+		{"mp3+mpeg", mixed, []int{2, 3, 7}},
+	} {
+		base, err := Run(tc.cfg(8, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("report with %d workers diverged from 1 worker:\n%+v\nvs\n%+v", w, got.Agg, base.Agg)
+		for _, w := range tc.workers {
+			got, err := Run(tc.cfg(8, w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, base) {
+				t.Errorf("%s: report with %d workers diverged from 1 worker:\n%+v\nvs\n%+v", tc.name, w, got.Agg, base.Agg)
+			}
 		}
 	}
 }
@@ -196,7 +212,7 @@ func TestRunCtxPreCancelled(t *testing.T) {
 
 // TestRunCtxCancelsBetweenBadges cancels while the batch is running and
 // asserts the run aborts early with the context error surfaced and never
-// returns a partial report. The shard loops poll ctx between badges, so the
+// returns a partial report. The workers poll ctx between badges, so the
 // abort latency is one in-flight badge, not the remaining batch.
 func TestRunCtxCancelsBetweenBadges(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

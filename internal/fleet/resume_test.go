@@ -98,8 +98,8 @@ func TestPanicIsolatedToBadgeError(t *testing.T) {
 	}
 }
 
-// TestPanicReplacesScratch: after a badge panics, the shard's scratch may
-// hold a half-stepped simulation — the next badge on the same shard must
+// TestPanicReplacesScratch: after a badge panics, the worker's scratch may
+// hold a half-stepped simulation — the next badge on the same worker must
 // still produce the bit-exact result, proven against an uninterrupted run.
 func TestPanicReplacesScratch(t *testing.T) {
 	clean, err := Run(smallConfig(4, 1))
@@ -114,7 +114,7 @@ func TestPanicReplacesScratch(t *testing.T) {
 		}
 		return runBadge(cfg, i, sc)
 	})()
-	got, err := Run(smallConfig(4, 1)) // one shard: badges 2,3 reuse the scratch after the panic
+	got, err := Run(smallConfig(4, 1)) // one worker: badges 2,3 reuse the scratch after the panic
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPanicReplacesScratch(t *testing.T) {
 	}
 	for _, b := range got.Badges {
 		if !reflect.DeepEqual(b, clean.Badges[b.Index]) {
-			t.Errorf("badge %d diverged after an earlier panic on its shard", b.Index)
+			t.Errorf("badge %d diverged after an earlier panic on its worker", b.Index)
 		}
 	}
 }

@@ -27,11 +27,15 @@ func SurvivalIntegral(d Distribution, a, b float64) float64 {
 		sum += surv(0) * lo
 	}
 	ratio := math.Pow(b/lo, 1/float64(steps))
-	t := lo
+	// Each node's survival is evaluated once and carried into the next
+	// panel as its left end: the arithmetic and its order are those of the
+	// plain two-evaluation trapezoid.
+	t, st := lo, surv(lo)
 	for i := 0; i < steps; i++ {
 		next := t * ratio
-		sum += (surv(t) + surv(next)) / 2 * (next - t)
-		t = next
+		sn := surv(next)
+		sum += (st + sn) / 2 * (next - t)
+		t, st = next, sn
 	}
 	return sum
 }

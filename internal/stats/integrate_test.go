@@ -148,3 +148,54 @@ func TestECDFValues(t *testing.T) {
 		t.Errorf("values = %v, want sorted", v)
 	}
 }
+
+// twoEvalSurvivalIntegral is SurvivalIntegral as first written, evaluating
+// the survival function at both ends of every panel: the reference the
+// single-evaluation loop must reproduce bit for bit.
+func twoEvalSurvivalIntegral(d Distribution, a, b float64) float64 {
+	if b <= a {
+		return 0
+	}
+	if a < 0 {
+		a = 0
+	}
+	surv := func(t float64) float64 { return 1 - d.CDF(t) }
+	const steps = 4000
+	sum := 0.0
+	lo := a
+	if lo <= 0 {
+		lo = b * 1e-9
+		sum += surv(0) * lo
+	}
+	ratio := math.Pow(b/lo, 1/float64(steps))
+	t := lo
+	for i := 0; i < steps; i++ {
+		next := t * ratio
+		sum += (surv(t) + surv(next)) / 2 * (next - t)
+		t = next
+	}
+	return sum
+}
+
+// TestSurvivalIntegralMatchesTwoEvaluationLoop pins the carried-forward
+// trapezoid to the two-evaluation loop, bit for bit, over the idle models
+// the power managers integrate: exponential, Pareto and their mixture, from
+// zero and from interior lower bounds.
+func TestSurvivalIntegralMatchesTwoEvaluationLoop(t *testing.T) {
+	exp := NewExponential(23.5)
+	par := NewPareto(280, 3.5)
+	dists := map[string]Distribution{
+		"exponential": exp,
+		"pareto":      par,
+		"shifted":     Shifted{Offset: 120, Base: par},
+		"mixture":     NewMixture([]float64{4000, 5}, []Distribution{exp, Shifted{Offset: 120, Base: par}}),
+	}
+	for name, d := range dists {
+		for _, r := range [][2]float64{{0, 0.01}, {0, 3}, {0.004, 2.5}, {1.7, 900}, {0, TailBound(d, 0)}, {-1, 40}} {
+			got, want := SurvivalIntegral(d, r[0], r[1]), twoEvalSurvivalIntegral(d, r[0], r[1])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s on [%v, %v]: %v, two-evaluation loop %v", name, r[0], r[1], got, want)
+			}
+		}
+	}
+}

@@ -103,6 +103,12 @@ func (w *Window) At(i int) float64 {
 	return w.buf[(w.head+i)%len(w.buf)]
 }
 
+// Prefix returns the compensated stream prefix: the total of every
+// observation pushed since the last Reset, evicted ones included. Every
+// SuffixSum is a difference against it, so its magnitude scales
+// SuffixSum's rounding error.
+func (w *Window) Prefix() float64 { return w.psum + w.pcomp }
+
 // SuffixSum returns the sum of the newest n observations in O(1), as the
 // difference between the compensated stream prefix and the prefix recorded
 // when the (n-th newest) observation was pushed. It panics if n is negative

@@ -74,7 +74,7 @@ func Generate(rng *stats.RNG, clips []Clip, opts GenerateOptions) (*Trace, error
 	if len(clips) == 0 {
 		return nil, fmt.Errorf("workload: no clips to generate")
 	}
-	tr := &Trace{Kind: clips[0].Kind, Clips: clips}
+	tr := &Trace{Kind: clips[0].Kind, Clips: clips, Frames: make([]TraceFrame, 0, frameCapacity(clips))}
 	now := opts.LeadIn
 	if now < 0 {
 		return nil, fmt.Errorf("workload: negative lead-in %v", opts.LeadIn)
@@ -133,6 +133,32 @@ func Generate(rng *stats.RNG, clips []Clip, opts GenerateOptions) (*Trace, error
 	return tr, nil
 }
 
+// maxPresizeFrames caps the frame capacity Generate reserves up front
+// (48 MiB of frames); a longer trace grows past it by append.
+const maxPresizeFrames = 1 << 20
+
+// frameCapacity is the frame capacity Generate reserves: the expected
+// Poisson count Σ Duration·ArrivalRate plus four standard deviations and a
+// small constant, so a trace almost never regrows. Clip lists whose
+// estimate is not a non-negative number reserve nothing and are left to
+// validation.
+func frameCapacity(clips []Clip) int {
+	mean := 0.0
+	for _, c := range clips {
+		for _, seg := range c.Segments {
+			mean += seg.Duration * seg.ArrivalRate
+		}
+	}
+	n := mean + 4*math.Sqrt(mean) + 16
+	switch {
+	case !(n >= 0):
+		return 0
+	case n > maxPresizeFrames:
+		return maxPresizeFrames
+	}
+	return int(n)
+}
+
 // normalisedGOP scales a multiplier cycle so its mean is exactly 1,
 // preserving each segment's mean decode rate. A nil/empty GOP returns nil.
 func normalisedGOP(gop []float64) []float64 {
@@ -161,7 +187,7 @@ func StepTrace(rng *stats.RNG, rate1, rate2, decodeRateMax float64, n1, n2 int) 
 	if n1 <= 0 || n2 <= 0 {
 		return nil, fmt.Errorf("workload: step trace needs positive frame counts")
 	}
-	tr := &Trace{Kind: MP3}
+	tr := &Trace{Kind: MP3, Frames: make([]TraceFrame, 0, n1+n2)}
 	now := 0.0
 	add := func(rate float64, n int) {
 		tr.Changes = append(tr.Changes, RateChange{
