@@ -369,7 +369,7 @@ func BenchmarkAblationDPMPolicies(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := experiments.RunPolicy(experiments.Ideal, experiments.MixedApp(), tr, pol)
+				res, err := experiments.RunPolicy(experiments.Ideal, experiments.MixedApp(), tr, pol, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -550,7 +550,7 @@ func BenchmarkAblationTwoLevelDPM(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := experiments.RunPolicy(experiments.Ideal, experiments.MixedApp(), tr, pol)
+				res, err := experiments.RunPolicy(experiments.Ideal, experiments.MixedApp(), tr, pol, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -811,7 +811,8 @@ func BenchmarkFleet(b *testing.B) {
 // BenchmarkSimHotPath measures the simulator event loop alone — trace and
 // controller construction are outside the timed region — so the
 // energy-accounting rewrite (indexed component accumulators, cached per-mode
-// power vectors, O(1) arrival peek) shows up directly in ns/op and allocs/op.
+// power vectors, one pending-event slot per kind) shows up directly in ns/op
+// and allocs/op.
 func BenchmarkSimHotPath(b *testing.B) {
 	tr := ablationTrace(b, 1)
 	first := tr.Changes[0]

@@ -184,7 +184,7 @@ func Breakdown(seed uint64) ([]BreakdownRow, []string, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := RunPolicy(c.policy, app, tr, pol)
+		res, err := RunPolicy(c.policy, app, tr, pol, nil, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("breakdown %s: %w", c.name, err)
 		}

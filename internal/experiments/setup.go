@@ -224,21 +224,13 @@ func NewController(kind PolicyKind, app App, initialArrival, initialService floa
 }
 
 // RunPolicy simulates one trace under one policy and DPM configuration.
-func RunPolicy(kind PolicyKind, app App, tr *workload.Trace, pol dpm.Policy) (*sim.Result, error) {
-	return RunPolicyWith(kind, app, tr, pol, nil)
-}
-
-// RunPolicyWith is RunPolicy with a hook to adjust the simulator
-// configuration (buffer capacity, timeline recording, …) before the run.
-func RunPolicyWith(kind PolicyKind, app App, tr *workload.Trace, pol dpm.Policy, mutate func(*sim.Config)) (*sim.Result, error) {
-	return RunPolicyObs(kind, app, tr, pol, nil, mutate)
-}
-
-// RunPolicyObs is RunPolicyWith plus observability: when o is non-nil the
-// controller, both change-point detectors (labelled "arrival" and "service"),
-// the DPM policy and the simulator itself all report into it. A nil o is the
-// fast path — no wrapping, no instrumentation, bit-identical results.
-func RunPolicyObs(kind PolicyKind, app App, tr *workload.Trace, pol dpm.Policy, o *obs.Obs, mutate func(*sim.Config)) (*sim.Result, error) {
+// When o is non-nil the controller, both change-point detectors (labelled
+// "arrival" and "service"), the DPM policy and the simulator itself all
+// report into it; a nil o is the fast path — no wrapping, no
+// instrumentation, bit-identical results. mutate, when non-nil, adjusts the
+// simulator configuration (buffer capacity, timeline recording, …) before
+// the run.
+func RunPolicy(kind PolicyKind, app App, tr *workload.Trace, pol dpm.Policy, o *obs.Obs, mutate func(*sim.Config)) (*sim.Result, error) {
 	first := tr.Changes[0]
 	ctrl, err := NewController(kind, app, first.ArrivalRate, first.DecodeRateMax)
 	if err != nil {

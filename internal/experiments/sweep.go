@@ -77,7 +77,7 @@ func WakeProbSweepWorkers(seed uint64, probs []float64, workers int) ([]WakeProb
 			return WakeProbPoint{}, err
 		}
 		counter := &idleCounter{inner: pol}
-		res, err := RunPolicy(Ideal, MixedApp(), tr, counter)
+		res, err := RunPolicy(Ideal, MixedApp(), tr, counter, nil, nil)
 		if err != nil {
 			return WakeProbPoint{}, err
 		}

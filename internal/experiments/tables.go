@@ -96,7 +96,7 @@ func Table3(seed uint64) ([]DVSRow, error) {
 		}
 		row := DVSRow{Workload: seq}
 		for _, p := range Policies() {
-			res, err := RunPolicy(p, app, tr, dpm.AlwaysOn{})
+			res, err := RunPolicy(p, app, tr, dpm.AlwaysOn{}, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("table3 %s/%v: %w", seq, p, err)
 			}
@@ -124,7 +124,7 @@ func Table4(seed uint64) ([]DVSRow, error) {
 		}
 		row := DVSRow{Workload: fmt.Sprintf("%s (%.0fs)", clip.Label, clip.Duration())}
 		for _, p := range Policies() {
-			res, err := RunPolicy(p, app, tr, dpm.AlwaysOn{})
+			res, err := RunPolicy(p, app, tr, dpm.AlwaysOn{}, nil, nil)
 			if err != nil {
 				return nil, fmt.Errorf("table4 %s/%v: %w", clip.Label, p, err)
 			}
@@ -242,7 +242,7 @@ func Table5(seed uint64) ([]Table5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := RunPolicy(c.policy, app, tr, pol)
+		res, err := RunPolicy(c.policy, app, tr, pol, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("table5 %s: %w", c.name, err)
 		}

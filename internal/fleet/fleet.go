@@ -9,8 +9,8 @@
 // unclaimed badge index from a shared atomic counter, so a worker that drew
 // cheap badges goes on to take more instead of idling while another works
 // through a stripe of expensive ones. Each worker owns one sim.Scratch
-// recycled across its runs (event heap, energy accumulators, power vectors —
-// the per-run allocations that dominate small simulations), and a badge's
+// recycled across its runs (energy accumulators and power vectors — the
+// per-run allocations that dominate small simulations), and a badge's
 // result never depends on which scratch ran it. Results land in an
 // index-addressed slice and aggregates are folded serially afterwards, which
 // is what makes the report independent of scheduling and of W.
@@ -401,7 +401,7 @@ func runBadge(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
 		}
 	}
 
-	res, err := experiments.RunPolicyWith(spec.Policy, app, tr, pol, func(c *sim.Config) {
+	res, err := experiments.RunPolicy(spec.Policy, app, tr, pol, nil, func(c *sim.Config) {
 		c.Scratch = sc
 	})
 	if err != nil {

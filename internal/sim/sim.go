@@ -118,8 +118,8 @@ type Config struct {
 	// work). All draw inside [StartS, EndS) is multiplied by Factor. Windows
 	// must be non-overlapping; nil leaves the power model untouched.
 	Derate []PowerDerate
-	// Scratch, when non-nil, recycles the hot-path allocations (event heap,
-	// per-component energy accumulators, power vectors) from a previous run —
+	// Scratch, when non-nil, recycles the hot-path allocations
+	// (per-component energy accumulators, power vectors) from a previous run —
 	// the sync.Pool-style per-worker reuse the fleet batch engine
 	// (internal/fleet) relies on. Results are bit-identical with and without
 	// a Scratch; a Scratch must never be used by two simulations
@@ -132,7 +132,6 @@ type Config struct {
 // capacities) when Run completes. One Scratch serves any sequence of
 // configurations — capacities adapt — but only one run at a time.
 type Scratch struct {
-	events     eventHeap
 	energy     []float64
 	lastEnergy []float64
 	power      [numModes][]float64
@@ -221,6 +220,10 @@ type Result struct {
 	Timeline []ModeSpan
 }
 
+// eventKind names the simulator's pending-event slots. The badge has one
+// frame source, one decoder and one wake-up path, and each idle entry arms at
+// most one sleep timer and one deepening, both cancelled by any arrival — so
+// at most one event of each kind is ever pending.
 type eventKind int
 
 const (
@@ -229,68 +232,16 @@ const (
 	evSleepTimer
 	evDeepenTimer
 	evWakeDone
+	numEventKinds
 )
 
 type event struct {
-	time   float64
-	seq    int64 // tiebreaker for deterministic ordering
-	kind   eventKind
-	epoch  int // guards stale sleep timers
+	time float64
+	// seq is the scheduling order: equal-time events fire in the order they
+	// were scheduled. 0 marks an empty slot.
+	seq    int64
 	frame  int
-	target device.PowerState // sleep timer's destination state
-}
-
-// eventHeap is a hand-rolled binary min-heap ordered by (time, seq). It
-// stores events directly rather than going through container/heap, whose
-// interface{} Push/Pop boxes every event — two allocations per event, the
-// dominant allocation cost of a run. seq is unique, so the order is total
-// and pops are deterministic.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	q := *h
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	q := *h
-	n := len(q) - 1
-	top := q[0]
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	for i := 0; ; {
-		left, right := 2*i+1, 2*i+2
-		min := i
-		if left < n && q.less(left, min) {
-			min = left
-		}
-		if right < n && q.less(right, min) {
-			min = right
-		}
-		if min == i {
-			break
-		}
-		q[i], q[min] = q[min], q[i]
-		i = min
-	}
-	return top
+	target device.PowerState // sleep and deepen timers' destination state
 }
 
 // InternalError reports a violated simulator invariant — a bug in the
@@ -322,20 +273,16 @@ type Simulator struct {
 	// the controller's selection is applied at frame boundaries.
 	appliedOp sa1100.OperatingPoint
 	buffer    *queue.Buffer
-	events    eventHeap
-	seq       int64
-	epoch     int
-	decoding  bool
+	// pending holds one slot per event kind (see eventKind); an armed
+	// evDecodeDone slot means a frame is decoding.
+	pending [numEventKinds]event
+	seq     int64
 	// sleepState is the low-power state while in ModeSleep.
 	sleepState device.PowerState
 	idleSince  float64
 	lastArrive float64
 	haveArrive bool
 	nextFrame  int
-	// pendingArrival is the time of the single outstanding evArrival in the
-	// heap, or -1 when the trace is exhausted — an O(1) replacement for
-	// scanning the heap at every idle entry.
-	pendingArrival float64
 	// curKind is the application kind of the burst currently streaming,
 	// taken from the arriving frame's clip.
 	curKind workload.Kind
@@ -402,21 +349,19 @@ func New(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	s := &Simulator{
-		cfg:            cfg,
-		badge:          cfg.Badge.Components(),
-		mode:           ModeAwakeIdle,
-		appliedOp:      cfg.Controller.Current(),
-		buffer:         queue.NewBuffer(),
-		curKind:        cfg.Kind,
-		pendingArrival: -1,
-		derate:         derate,
+		cfg:       cfg,
+		badge:     cfg.Badge.Components(),
+		mode:      ModeAwakeIdle,
+		appliedOp: cfg.Controller.Current(),
+		buffer:    queue.NewBuffer(),
+		curKind:   cfg.Kind,
+		derate:    derate,
 	}
 	if sc := cfg.Scratch; sc != nil {
-		// Recycle the previous run's allocations. The event heap is emptied,
-		// energy accumulators are zeroed, and power vectors of the right
-		// length are adopted as raw capacity: powerOK starts false for every
-		// mode, so modePower rebuilds each vector before its first read.
-		s.events = sc.events[:0]
+		// Recycle the previous run's allocations. Energy accumulators are
+		// zeroed, and power vectors of the right length are adopted as raw
+		// capacity: powerOK starts false for every mode, so modePower
+		// rebuilds each vector before its first read.
 		s.energyComp = resizeZero(sc.energy, len(s.badge))
 		for m := range sc.power {
 			if len(sc.power[m]) == len(s.badge) {
@@ -662,29 +607,54 @@ func (s *Simulator) derateFactorAt(tm float64) float64 {
 	return 1
 }
 
-func (s *Simulator) push(e event) {
+// schedule arms kind's slot with e, stamped with the next sequence number.
+// The slot must be empty: one pending event per kind is what lets a fixed
+// table replace an event queue.
+func (s *Simulator) schedule(kind eventKind, e event) {
+	if s.armed(kind) {
+		internalf("event kind %d scheduled while one is pending", kind)
+	}
 	s.seq++
 	e.seq = s.seq
-	s.events.push(e)
+	s.pending[kind] = e
 }
 
-// scheduleNextArrival queues the next trace frame, if any, and keeps the
-// tracked pendingArrival time in sync.
+// armed reports whether an event of kind is pending.
+func (s *Simulator) armed(kind eventKind) bool { return s.pending[kind].seq != 0 }
+
+// next disarms and returns the pending event with the smallest (time, seq);
+// ok is false when nothing is pending.
+func (s *Simulator) next() (kind eventKind, e event, ok bool) {
+	for k, c := range s.pending {
+		if c.seq != 0 && (!ok || c.time < e.time || (c.time == e.time && c.seq < e.seq)) {
+			kind, e, ok = eventKind(k), c, true
+		}
+	}
+	if ok {
+		s.pending[kind] = event{}
+	}
+	return kind, e, ok
+}
+
+// cancelTimers disarms the sleep and deepen timers: activity resumed before
+// they fired.
+func (s *Simulator) cancelTimers() {
+	s.pending[evSleepTimer] = event{}
+	s.pending[evDeepenTimer] = event{}
+}
+
+// scheduleNextArrival arms the arrival slot with the next trace frame, if any.
 func (s *Simulator) scheduleNextArrival() {
 	if s.nextFrame < len(s.cfg.Trace.Frames) {
-		t := s.cfg.Trace.Frames[s.nextFrame].Arrival
-		s.push(event{time: t, kind: evArrival, frame: s.nextFrame})
-		s.pendingArrival = t
+		s.schedule(evArrival, event{time: s.cfg.Trace.Frames[s.nextFrame].Arrival, frame: s.nextFrame})
 		s.nextFrame++
-	} else {
-		s.pendingArrival = -1
 	}
 }
 
 // startDecodeIfPossible begins decoding the head-of-line frame when the
 // device is awake and the decoder is free.
 func (s *Simulator) startDecodeIfPossible() {
-	if s.decoding || s.buffer.Empty() || s.mode == ModeSleep || s.mode == ModeWake {
+	if s.armed(evDecodeDone) || s.buffer.Empty() || s.mode == ModeSleep || s.mode == ModeWake {
 		return
 	}
 	f := s.buffer.Peek()
@@ -714,12 +684,11 @@ func (s *Simulator) startDecodeIfPossible() {
 		internalf("zero performance at selected operating point (%g MHz)", s.appliedOp.FrequencyMHz)
 	}
 	s.setMode(ModeDecode)
-	s.decoding = true
 	if s.tr != nil {
 		s.tr.Emit(obs.Event{T: s.now, Kind: "decode_start", Frame: f.Seq + 1,
 			Queue: s.buffer.Len(), ToMHz: s.appliedOp.FrequencyMHz})
 	}
-	s.push(event{time: s.now + extra + f.Work/perf, kind: evDecodeDone, frame: f.Seq})
+	s.schedule(evDecodeDone, event{time: s.now + extra + f.Work/perf, frame: f.Seq})
 }
 
 // enterIdle handles the transition into the idle state: the paper's single
@@ -730,31 +699,18 @@ func (s *Simulator) enterIdle() {
 		s.tr.Emit(obs.Event{T: s.now, Kind: "idle_enter", Queue: s.buffer.Len()})
 	}
 	s.idleSince = s.now
-	s.epoch++
-	next := s.peekNextArrivalTime()
-	if next < 0 {
+	s.cancelTimers()
+	if !s.armed(evArrival) {
 		return // no more arrivals: the run is draining, never sleep
 	}
 	// Oracle information: the true length of the idle period just starting.
-	dec := s.cfg.DPM.Decide(next - s.now)
+	dec := s.cfg.DPM.Decide(s.pending[evArrival].time - s.now)
 	if dec.Sleep {
-		s.push(event{time: s.now + dec.Timeout, kind: evSleepTimer, epoch: s.epoch, target: dec.Target})
+		s.schedule(evSleepTimer, event{time: s.now + dec.Timeout, target: dec.Target})
 		if dec.DeepenAfter > 0 {
-			s.push(event{
-				time:   s.now + dec.Timeout + dec.DeepenAfter,
-				kind:   evDeepenTimer,
-				epoch:  s.epoch,
-				target: dec.DeepenTarget,
-			})
+			s.schedule(evDeepenTimer, event{time: s.now + dec.Timeout + dec.DeepenAfter, target: dec.DeepenTarget})
 		}
 	}
-}
-
-// peekNextArrivalTime returns the next pending arrival's time or -1 when the
-// trace is exhausted. The time is tracked in scheduleNextArrival/Run rather
-// than found by scanning the heap, so idle entry is O(1).
-func (s *Simulator) peekNextArrivalTime() float64 {
-	return s.pendingArrival
 }
 
 // Run executes the simulation to completion and returns the result. A
@@ -778,25 +734,18 @@ func (s *Simulator) Run() (_ *Result, err error) {
 	s.scheduleNextArrival()
 	s.enterIdle()
 	frames := s.cfg.Trace.Frames
-	for s.events.Len() > 0 {
-		e := s.events.pop()
-		switch e.kind {
+	for kind, e, ok := s.next(); ok; kind, e, ok = s.next() {
+		s.chargeTo(e.time)
+		switch kind {
 		case evArrival:
-			s.chargeTo(e.time)
-			// This arrival is leaving the heap; scheduleNextArrival below
-			// re-establishes the tracked pending time (or -1 at trace end).
-			s.pendingArrival = -1
-			f := frames[e.frame]
-			s.handleArrival(f)
+			s.handleArrival(frames[e.frame])
 			s.scheduleNextArrival()
 		case evDecodeDone:
-			s.chargeTo(e.time)
 			s.handleDecodeDone(frames[e.frame])
 		case evSleepTimer:
-			if e.epoch != s.epoch || s.mode != ModeAwakeIdle {
-				continue // stale: activity resumed before the timeout
+			if s.mode != ModeAwakeIdle {
+				internalf("sleep timer fired in mode %v", s.mode)
 			}
-			s.chargeTo(e.time)
 			s.setMode(ModeSleep)
 			s.setSleepState(e.target)
 			s.res.Sleeps++
@@ -804,10 +753,9 @@ func (s *Simulator) Run() (_ *Result, err error) {
 				s.tr.Emit(obs.Event{T: s.now, Kind: "sleep", Target: e.target.String()})
 			}
 		case evDeepenTimer:
-			if e.epoch != s.epoch || s.mode != ModeSleep {
-				continue // stale: the badge woke (or never slept)
+			if s.mode != ModeSleep {
+				internalf("deepen timer fired in mode %v", s.mode)
 			}
-			s.chargeTo(e.time)
 			if s.tr != nil {
 				// The sleep-state power changes here: flush the energy accrued
 				// in the shallower state before deepening.
@@ -817,7 +765,6 @@ func (s *Simulator) Run() (_ *Result, err error) {
 			s.setSleepState(e.target)
 			s.res.Deepens++
 		case evWakeDone:
-			s.chargeTo(e.time)
 			s.setMode(ModeAwakeIdle)
 			if s.tr != nil {
 				s.tr.Emit(obs.Event{T: s.now, Kind: "wake_done", Queue: s.buffer.Len()})
@@ -853,7 +800,6 @@ func (s *Simulator) Run() (_ *Result, err error) {
 	if sc := s.cfg.Scratch; sc != nil {
 		// Hand the (possibly grown) buffers back so the next run on this
 		// scratch starts from their high-water capacity.
-		sc.events = s.events
 		sc.energy = s.energyComp
 		sc.lastEnergy = s.lastEnergy
 		sc.power = s.powerVec
@@ -934,7 +880,7 @@ func (s *Simulator) handleArrival(f workload.TraceFrame) {
 	if s.haveArrive {
 		gap := f.Arrival - s.lastArrive
 		spansIdle := s.mode == ModeSleep || s.mode == ModeWake ||
-			(s.mode == ModeAwakeIdle && !s.decoding && s.buffer.Empty() && gap > s.cfg.IdleResetGap)
+			(s.mode == ModeAwakeIdle && !s.armed(evDecodeDone) && s.buffer.Empty() && gap > s.cfg.IdleResetGap)
 		if !spansIdle {
 			s.cfg.Controller.OnArrival(gap, f.TrueArrivalRate)
 		}
@@ -979,18 +925,18 @@ func (s *Simulator) handleArrival(f workload.TraceFrame) {
 	case ModeSleep:
 		// Wake up: the DPM observes the completed idle period.
 		s.cfg.DPM.ObserveIdle(s.now - s.idleSince)
-		s.epoch++
+		s.cancelTimers()
 		wake := s.cfg.Badge.WakeLatency(s.sleepState)
 		slept := s.sleepState
 		s.setMode(ModeWake)
 		if s.tr != nil {
 			s.tr.Emit(obs.Event{T: s.now, Kind: "wake", Target: slept.String(), DelayS: wake})
 		}
-		s.push(event{time: s.now + wake, kind: evWakeDone})
+		s.schedule(evWakeDone, event{time: s.now + wake})
 	case ModeAwakeIdle:
-		if !s.decoding {
+		if !s.armed(evDecodeDone) {
 			s.cfg.DPM.ObserveIdle(s.now - s.idleSince)
-			s.epoch++ // cancel any pending sleep timer
+			s.cancelTimers()
 		}
 		s.startDecodeIfPossible()
 	case ModeWake, ModeDecode:
@@ -1003,7 +949,6 @@ func (s *Simulator) handleDecodeDone(f workload.TraceFrame) {
 	if done.Seq != f.Seq {
 		internalf("decode completion order mismatch: %d vs %d", done.Seq, f.Seq)
 	}
-	s.decoding = false
 	s.res.FramesDecoded++
 	delay := s.now - done.ArrivalTime
 	s.res.FrameDelay.Add(delay)

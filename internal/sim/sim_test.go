@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"smartbadge/internal/dpm"
 	"smartbadge/internal/markov"
 	"smartbadge/internal/mdp"
+	"smartbadge/internal/obs"
 	"smartbadge/internal/perfmodel"
 	"smartbadge/internal/policy"
 	"smartbadge/internal/sa1100"
@@ -788,8 +791,8 @@ func TestChangePointPolicyEndToEnd(t *testing.T) {
 }
 
 // recordingDPM wraps a policy, recording the oracle idle length of every
-// Decide call and cross-checking the simulator's O(1) arrival peek against a
-// linear scan of the event heap at each idle entry.
+// Decide call and checking it against the gap from the simulator's clock to
+// the next trace arrival still to come.
 type recordingDPM struct {
 	inner   dpm.Policy
 	sim     *Simulator
@@ -801,13 +804,14 @@ func (r *recordingDPM) Decide(oracleIdle float64) dpm.Decision {
 	r.oracles = append(r.oracles, oracleIdle)
 	if r.sim != nil {
 		want := -1.0
-		for _, e := range r.sim.events {
-			if e.kind == evArrival && (want < 0 || e.time < want) {
-				want = e.time
+		for _, f := range r.sim.cfg.Trace.Frames {
+			if f.Arrival > r.sim.now {
+				want = f.Arrival - r.sim.now
+				break
 			}
 		}
-		if got := r.sim.peekNextArrivalTime(); got != want {
-			r.t.Errorf("peekNextArrivalTime = %v, heap scan says %v", got, want)
+		if oracleIdle != want {
+			r.t.Errorf("Decide at t=%v saw oracle idle %v, next trace arrival is %v away", r.sim.now, oracleIdle, want)
 		}
 	}
 	return r.inner.Decide(oracleIdle)
@@ -815,8 +819,8 @@ func (r *recordingDPM) Decide(oracleIdle float64) dpm.Decision {
 func (r *recordingDPM) ObserveIdle(d float64) { r.inner.ObserveIdle(d) }
 func (r *recordingDPM) Name() string          { return r.inner.Name() }
 
-// TestIdleDrainsWithoutArrivals is the regression test for the tracked
-// pendingArrival field: every idle entry while frames remain must consult the
+// TestIdleDrainsWithoutArrivals is the regression test for idle entry's
+// next-arrival lookup: every idle entry while frames remain must consult the
 // DPM policy with the true (positive) gap to the next arrival, and the final
 // idle entry after the trace is exhausted must drain the run without asking
 // the policy to sleep — otherwise an eager timeout policy would park the
@@ -848,12 +852,11 @@ func TestIdleDrainsWithoutArrivals(t *testing.T) {
 	if res.FramesDecoded != len(cfg.Trace.Frames) {
 		t.Fatalf("decoded %d of %d frames", res.FramesDecoded, len(cfg.Trace.Frames))
 	}
-	// Drained: the tracked peek reports trace exhaustion and no events remain.
-	if got := s.peekNextArrivalTime(); got != -1 {
-		t.Errorf("after drain peekNextArrivalTime = %v, want -1", got)
-	}
-	if n := s.events.Len(); n != 0 {
-		t.Errorf("after drain %d events still queued", n)
+	// Drained: no event of any kind is still pending.
+	for k, e := range s.pending {
+		if s.armed(eventKind(k)) {
+			t.Errorf("after drain event kind %d still pending at t=%v", k, e.time)
+		}
 	}
 	if s.mode != ModeAwakeIdle {
 		t.Errorf("after drain mode = %v, want %v (never sleep once arrivals end)", s.mode, ModeAwakeIdle)
@@ -870,7 +873,7 @@ func TestIdleDrainsWithoutArrivals(t *testing.T) {
 	}
 	// A fixed timeout sleeps exactly in the idle periods longer than tau, so
 	// the realised sleep count is pinned by the recorded oracles. A spurious
-	// sleep at drain (or a stale-peek shortfall) breaks the equality.
+	// sleep at drain (or a missed idle period) breaks the equality.
 	want := 0
 	for _, o := range rec.oracles {
 		if o > tau {
@@ -879,5 +882,59 @@ func TestIdleDrainsWithoutArrivals(t *testing.T) {
 	}
 	if res.Sleeps != want {
 		t.Errorf("Sleeps = %d, want %d (idle periods longer than %gs)", res.Sleeps, want, tau)
+	}
+}
+
+// TestEqualTimeEventsFireInSchedulingOrder pins the event tie-break: a frame
+// arriving at exactly the instant a wake-up completes finds the badge already
+// awake, because the wake was scheduled first (by the arrival that woke the
+// badge) and equal-time events fire in scheduling order — not by a fixed
+// per-kind priority.
+func TestEqualTimeEventsFireInSchedulingOrder(t *testing.T) {
+	badge := device.SmartBadge()
+	const wakeArrival = 1.0 // the frame that wakes the sleeping badge
+	wakeDone := wakeArrival + badge.WakeLatency(device.Standby)
+	frame := func(i int, at float64) workload.TraceFrame {
+		return workload.TraceFrame{Seq: i, Arrival: at, Work: 0.005, TrueArrivalRate: 20, TrueDecodeRateMax: 150}
+	}
+	tr := &workload.Trace{
+		Frames:  []workload.TraceFrame{frame(0, 0.1), frame(1, wakeArrival), frame(2, wakeDone)},
+		Changes: []workload.RateChange{{ArrivalRate: 20, DecodeRateMax: 150}},
+		Kind:    workload.MP3,
+	}
+	pol, err := dpm.NewFixedTimeout(0.05, device.Standby)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(&buf)
+	if _, err := Run(Config{
+		Badge: badge, Proc: sa1100.Default(), Trace: tr,
+		Controller: idealController(t, perfmodel.MP3Curve(), 0.15, false),
+		DPM:        pol, Kind: workload.MP3, Obs: &obs.Obs{Trace: tracer},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	woke := false
+	var order []string
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var e obs.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		woke = woke || (e.T == wakeArrival && e.Kind == "wake")
+		if e.T == wakeDone && (e.Kind == "wake_done" || e.Kind == "arrival") {
+			order = append(order, e.Kind)
+		}
+	}
+	if !woke {
+		t.Fatalf("no wake-up at t=%v: the setup needs the badge asleep when frame 2 arrives", wakeArrival)
+	}
+	if len(order) != 2 || order[0] != "wake_done" || order[1] != "arrival" {
+		t.Errorf("events at t=%v fired as %v, want [wake_done arrival]", wakeDone, order)
 	}
 }

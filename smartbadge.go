@@ -407,7 +407,7 @@ func Run(opts Options) (*Result, error) {
 		pol = dguard
 	}
 
-	return experiments.RunPolicyObs(kind, app, trace, pol, opts.Obs, func(cfg *sim.Config) {
+	return experiments.RunPolicy(kind, app, trace, pol, opts.Obs, func(cfg *sim.Config) {
 		cfg.Badge = badge
 		cfg.BufferCap = opts.BufferCap
 		cfg.RecordTimeline = opts.RecordTimeline
