@@ -33,3 +33,24 @@ func BenchmarkOptimalTimeout(b *testing.B) {
 		benchTimeout = OptimalTimeout(dist, costs)
 	}
 }
+
+// BenchmarkOptimalTimeoutExponential times the same search on the idle model
+// of an MP3 trace without inter-clip gaps, an Exponential: its expected
+// energy is flat to rounding for long timeouts, so the tied plateau must be
+// scored point by point.
+func BenchmarkOptimalTimeoutExponential(b *testing.B) {
+	tr, err := workload.Generate(stats.NewRNG(1), workload.MP3Clips(), workload.GenerateOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dist := tr.IdleModel()
+	if _, ok := dist.(stats.Exponential); !ok {
+		b.Fatalf("idle model is %v, want an Exponential", dist)
+	}
+	costs := CostsForBadge(device.SmartBadge(), device.Standby)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchTimeout = OptimalTimeout(dist, costs)
+	}
+}

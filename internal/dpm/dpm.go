@@ -28,6 +28,7 @@ package dpm
 
 import (
 	"fmt"
+	"math"
 
 	"smartbadge/internal/device"
 	"smartbadge/internal/stats"
@@ -297,24 +298,92 @@ func NewRenewalTimeout(dist stats.Distribution, costs Costs, target device.Power
 	return p, nil
 }
 
+// maxTimeoutGrid bounds OptimalTimeout's grid: 0 plus the 42 points
+// T_be/100·1.25^k that stay within 100·T_be.
+const maxTimeoutGrid = 48
+
 // OptimalTimeout minimises ExpectedEnergyPerIdle over a geometric timeout
-// grid spanning [T_be/100, 100·T_be] plus the endpoints 0 and +"never"
-// (represented by a timeout beyond any realistic idle period).
+// grid spanning [T_be/100, 100·T_be] plus the endpoint 0; of equal minima
+// it returns the earliest grid point.
+//
+// Only grid points that could still be the minimum are scored. Each point
+// first gets a certified floor, energyFloor, that is never above its
+// ExpectedEnergyPerIdle; points are scored in ascending floor order, and
+// the search stops at the first floor above the best energy found, since
+// every later point is then strictly worse. When a floor is unavailable
+// (no closed form for the distribution, a negative cost) every point is
+// scored in grid order, as a plain scan would.
 func OptimalTimeout(dist stats.Distribution, c Costs) float64 {
 	be := c.BreakEven()
 	if be <= 0 {
 		return 0 // free transitions: sleep immediately
 	}
-	bestTau := 0.0
-	bestE := ExpectedEnergyPerIdle(dist, c, 0)
-	tau := be / 100
-	for tau <= be*100 {
-		if e := ExpectedEnergyPerIdle(dist, c, tau); e < bestE {
-			bestE, bestTau = e, tau
+	var taus, floors [maxTimeoutGrid]float64
+	n := 1 // taus[0] = 0
+	for tau := be / 100; tau <= be*100; tau *= 1.25 {
+		if n == maxTimeoutGrid {
+			panic("dpm: timeout grid overflow")
 		}
-		tau *= 1.25
+		taus[n] = tau
+		n++
 	}
-	return bestTau
+	prune := c.IdlePowerW >= 0 && c.SleepPowerW >= 0 && c.TransitionEnergyJ >= 0
+	for i := 0; i < n && prune; i++ {
+		floors[i], prune = energyFloor(dist, c, taus[i])
+	}
+	if !prune {
+		for i := range floors[:n] {
+			floors[i] = math.Inf(-1)
+		}
+	}
+	return taus[searchTimeoutGrid(floors[:n], func(i int) float64 {
+		return ExpectedEnergyPerIdle(dist, c, taus[i])
+	})]
+}
+
+// searchTimeoutGrid scores grid points, energy(i) for point i, in ascending
+// floor order (ties in grid order) until a floor exceeds the best energy,
+// and returns the earliest index reaching the minimum. With every floor
+// −Inf it visits the grid in order and keeps the first point unless a later
+// one is strictly lower, exactly as a plain scan. Finite floors imply a
+// closed-form distribution with valid parameters and finite costs, whose
+// energies are all finite, so no NaN can hide behind a pruned point.
+func searchTimeoutGrid(floors []float64, energy func(i int) float64) int {
+	var order [maxTimeoutGrid]uint8
+	for i := range floors {
+		j := i
+		for ; j > 0 && floors[order[j-1]] > floors[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = uint8(i)
+	}
+	best, bestE := -1, 0.0
+	for _, k := range order[:len(floors)] {
+		i := int(k)
+		if best >= 0 && floors[i] > bestE {
+			break
+		}
+		e := energy(i)
+		if best < 0 || e < bestE || e == bestE && i < best {
+			best, bestE = i, e
+		}
+	}
+	return best
+}
+
+// energyFloor is ExpectedEnergyPerIdle with each survival integral replaced
+// by its stats.SurvivalIntegralFloor, using the same TailBound and CDF
+// calls in the same order. Correctly rounded + and × by non-negative
+// constants are monotone, so the result is never above
+// ExpectedEnergyPerIdle's. ok is false when a floor is unavailable or the
+// result is not finite.
+func energyFloor(dist stats.Distribution, c Costs, timeout float64) (float64, bool) {
+	tailEnd := stats.TailBound(dist, timeout)
+	eMin, okMin := stats.SurvivalIntegralFloor(dist, 0, timeout)
+	ePlus, okPlus := stats.SurvivalIntegralFloor(dist, timeout, tailEnd)
+	pSleep := 1 - dist.CDF(timeout)
+	e := float64(c.IdlePowerW*eMin) + float64(c.SleepPowerW*ePlus) + float64(c.TransitionEnergyJ*pSleep)
+	return e, okMin && okPlus && !math.IsNaN(e) && !math.IsInf(e, 0)
 }
 
 // Timeout returns the policy's current timeout.

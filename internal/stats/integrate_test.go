@@ -27,6 +27,13 @@ func TestSurvivalIntegralExponential(t *testing.T) {
 	if got := SurvivalIntegral(d, -5, tau); math.Abs(got-want) > 1e-4 {
 		t.Errorf("clamped integral = %v, want %v", got, want)
 	}
+	// The clamp comes first: a range at or below 0 is empty.
+	if got := SurvivalIntegral(NewExponential(2), -5, -1); got != 0 {
+		t.Errorf("integral over [-5, -1] = %v, want 0", got)
+	}
+	if got := SurvivalIntegral(NewExponential(2), -1, 0); got != 0 {
+		t.Errorf("integral over [-1, 0] = %v, want 0", got)
+	}
 }
 
 func TestSurvivalIntegralPareto(t *testing.T) {
@@ -153,11 +160,11 @@ func TestECDFValues(t *testing.T) {
 // the survival function at both ends of every panel: the reference the
 // single-evaluation loop must reproduce bit for bit.
 func twoEvalSurvivalIntegral(d Distribution, a, b float64) float64 {
-	if b <= a {
-		return 0
-	}
 	if a < 0 {
 		a = 0
+	}
+	if b <= a {
+		return 0
 	}
 	surv := func(t float64) float64 { return 1 - d.CDF(t) }
 	const steps = 4000
