@@ -71,7 +71,6 @@ func run(args []string, out io.Writer, ready chan<- string, sigs <-chan os.Signa
 	experiments.SetThresholdCache(cache)
 
 	srv := server.New(server.Config{
-		Cache:        cache,
 		MaxInFlight:  *inflight,
 		QueueDepth:   *queue,
 		MaxBadges:    *maxBadges,

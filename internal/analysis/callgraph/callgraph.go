@@ -1,7 +1,7 @@
 // Package callgraph builds a conservative static call graph over the
 // type-checked ASTs the analysis framework already loads, and answers the
 // reachability questions the concurrency analyzers share: "can this function
-// block?", "does this package spawn goroutines?", "what does this call chain
+// block?", "does this function spawn goroutines?", "what does this call chain
 // reach?".
 //
 // The graph is deliberately conservative in both directions and the
@@ -123,15 +123,13 @@ const (
 // A Graph is the assembled call graph.
 type Graph struct {
 	nodes map[string]*Node
-	// spawning caches PkgSpawnsGo per package path.
-	spawning map[string]bool
 }
 
 // Build assembles the graph for the given units. Units type-checked against
 // each other (shared or source-local importers) unify by object; everything
 // else unifies by full-name key.
 func Build(units []*Unit) *Graph {
-	g := &Graph{nodes: make(map[string]*Node), spawning: make(map[string]bool)}
+	g := &Graph{nodes: make(map[string]*Node)}
 	// Phase 1: a node per declared function, so cross-package edges bind to
 	// the body-bearing node regardless of unit processing order.
 	for _, u := range units {
@@ -164,11 +162,6 @@ func Build(units []*Unit) *Graph {
 				}
 				g.walkBody(g.nodes[fullName(fn)], fd.Body)
 			}
-		}
-	}
-	for _, n := range g.nodes {
-		if n.SpawnsGo && n.PkgPath != "" {
-			g.spawning[n.PkgPath] = true
 		}
 	}
 	return g
@@ -340,10 +333,6 @@ func (g *Graph) FuncsIn(pkgPath string) []*Node {
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
-
-// PkgSpawnsGo reports whether any function (or literal) declared in the
-// package contains a `go` statement.
-func (g *Graph) PkgSpawnsGo(pkgPath string) bool { return g.spawning[pkgPath] }
 
 // Reaches runs a depth-first search over call edges from `from` and returns
 // the first node satisfying pred, or nil. through, when non-nil, restricts

@@ -75,9 +75,6 @@ func TestGoroutineLiteral(t *testing.T) {
 	if !spawner.SpawnsGo {
 		t.Error("Spawner.SpawnsGo = false")
 	}
-	if !g.PkgSpawnsGo(pkgPath) {
-		t.Error("PkgSpawnsGo = false for a package with a go statement")
-	}
 }
 
 func TestMayBlock(t *testing.T) {

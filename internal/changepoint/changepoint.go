@@ -689,7 +689,7 @@ func (d *Detector) SetRate(rate float64) {
 // last reset.
 func (d *Detector) checkSlack() float64 {
 	nu := float64(d.observed+d.window.Cap()) * unitRoundoff
-	return (8*unitRoundoff + 4*nu*nu) * d.window.Prefix()
+	return (8*unitRoundoff + float64(4*nu*nu)) * d.window.Prefix()
 }
 
 // loadBlocks prepares a bounded check over the n buffered samples: it lays

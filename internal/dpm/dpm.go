@@ -203,7 +203,7 @@ func ExpectedEnergyPerIdle(dist stats.Distribution, c Costs, timeout float64) fl
 	eMin := stats.SurvivalIntegral(dist, 0, timeout)
 	ePlus := stats.SurvivalIntegral(dist, timeout, tailEnd)
 	pSleep := 1 - dist.CDF(timeout)
-	return c.IdlePowerW*eMin + c.SleepPowerW*ePlus + c.TransitionEnergyJ*pSleep
+	return float64(c.IdlePowerW*eMin) + float64(c.SleepPowerW*ePlus) + float64(c.TransitionEnergyJ*pSleep)
 }
 
 // Quantile returns the q-quantile of a distribution by bisection on its CDF

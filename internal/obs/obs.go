@@ -20,50 +20,59 @@
 //   - Handles are resolved once. Instrument points look a Counter or
 //     Histogram up by name at construction time and then update through the
 //     returned pointer: no map lookups or string hashing on hot paths.
-//   - Single-writer instruments. A Registry's name table is guarded for
-//     concurrent registration, but the instruments themselves are owned by
-//     one goroutine at a time (one run = one registry), matching how the
-//     simulator and the characterisation collector use them.
+//   - Safe for concurrent use. Counters and gauges are atomic words,
+//     phase timers atomic integers, and each histogram takes its own lock,
+//     so one Registry serves both the single-goroutine simulator and the
+//     daemon's concurrent request handlers. The name table and Snapshot
+//     share the registry's lock; a snapshot never shows a histogram whose
+//     Count differs from the sum of its bucket counts.
 package obs
 
 import (
 	"encoding/json"
 	"io"
+	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Counter is a monotonically growing sum.
-type Counter struct{ v float64 }
+// Counter is a monotonically growing sum. It holds the float64's bits in
+// an atomic word.
+type Counter struct{ bits atomic.Uint64 }
 
 // Add increments the counter. No-op on a nil receiver.
 func (c *Counter) Add(d float64) {
-	if c != nil {
-		c.v += d
+	if c == nil {
+		return
+	}
+	for {
+		old := c.bits.Load()
+		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
+			return
+		}
 	}
 }
 
 // Inc adds one. No-op on a nil receiver.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current sum (0 for nil).
 func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	return math.Float64frombits(c.bits.Load())
 }
 
-// Gauge is a last-write-wins value.
-type Gauge struct{ v float64 }
+// Gauge is a last-write-wins value. It holds the float64's bits in an
+// atomic word.
+type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores the value. No-op on a nil receiver.
 func (g *Gauge) Set(v float64) {
 	if g != nil {
-		g.v = v
+		g.bits.Store(math.Float64bits(v))
 	}
 }
 
@@ -72,7 +81,7 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return g.v
+	return math.Float64frombits(g.bits.Load())
 }
 
 // Histogram is a fixed-bucket cumulative-style histogram: bucket i counts
@@ -80,6 +89,7 @@ func (g *Gauge) Value() float64 {
 // Bounds are set at registration and never reallocated, so Observe is a
 // branch-light scan with no allocation.
 type Histogram struct {
+	mu     sync.Mutex
 	bounds []float64
 	counts []int64 // len(bounds)+1; last is the +Inf bucket
 	count  int64
@@ -93,6 +103,14 @@ func (h *Histogram) Observe(x float64) {
 	if h == nil {
 		return
 	}
+	i := len(h.bounds)
+	for j, b := range h.bounds {
+		if x <= b {
+			i = j
+			break
+		}
+	}
+	h.mu.Lock()
 	if h.count == 0 || x < h.min {
 		h.min = x
 	}
@@ -101,13 +119,8 @@ func (h *Histogram) Observe(x float64) {
 	}
 	h.count++
 	h.sum += x
-	for i, b := range h.bounds {
-		if x <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
+	h.counts[i]++
+	h.mu.Unlock()
 }
 
 // Count returns the number of observations (0 for nil).
@@ -115,6 +128,8 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.count
 }
 
@@ -123,15 +138,32 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.sum
+}
+
+// snapshot copies the histogram under its lock, so Count always equals the
+// sum of Counts.
+func (h *Histogram) snapshot() HistogramSnapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return HistogramSnapshot{
+		Bounds: append([]float64(nil), h.bounds...),
+		Counts: append([]int64(nil), h.counts...),
+		Count:  h.count,
+		Sum:    h.sum,
+		Min:    h.min,
+		Max:    h.max,
+	}
 }
 
 // PhaseTimer accumulates wall-clock time spent in a named phase (off-line
 // characterisation, a sweep, a replication batch). It measures real elapsed
 // time, not simulated time.
 type PhaseTimer struct {
-	total time.Duration
-	count int64
+	total atomic.Int64 // nanoseconds
+	count atomic.Int64
 }
 
 // Start begins one timed phase and returns the function that ends it.
@@ -142,8 +174,8 @@ func (t *PhaseTimer) Start() func() {
 	}
 	start := time.Now() //lint:allow detcheck PhaseTimer measures real elapsed time by design
 	return func() {
-		t.total += time.Since(start) //lint:allow detcheck PhaseTimer measures real elapsed time by design
-		t.count++
+		t.total.Add(int64(time.Since(start))) //lint:allow detcheck PhaseTimer measures real elapsed time by design
+		t.count.Add(1)
 	}
 }
 
@@ -152,13 +184,14 @@ func (t *PhaseTimer) Total() time.Duration {
 	if t == nil {
 		return 0
 	}
-	return t.total
+	return time.Duration(t.total.Load())
 }
 
 // Registry holds one run's named instruments. The zero value is not usable;
 // create with NewRegistry. A nil *Registry hands out nil instruments, whose
 // methods are all no-ops — the disabled fast path.
 type Registry struct {
+	mu       sync.Mutex // guards the four name tables
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -181,6 +214,8 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
 		c = &Counter{}
@@ -195,6 +230,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -210,6 +247,8 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
 		b := make([]float64, len(bounds))
@@ -226,6 +265,8 @@ func (r *Registry) Timer(name string) *PhaseTimer {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	t, ok := r.timers[name]
 	if !ok {
 		t = &PhaseTimer{}
@@ -267,36 +308,30 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if len(r.counters) > 0 {
 		s.Counters = make(map[string]float64, len(r.counters))
 		for name, c := range r.counters {
-			s.Counters[name] = c.v
+			s.Counters[name] = c.Value()
 		}
 	}
 	if len(r.gauges) > 0 {
 		s.Gauges = make(map[string]float64, len(r.gauges))
 		for name, g := range r.gauges {
-			s.Gauges[name] = g.v
+			s.Gauges[name] = g.Value()
 		}
 	}
 	if len(r.hists) > 0 {
 		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
 		for name, h := range r.hists {
-			hs := HistogramSnapshot{
-				Bounds: append([]float64(nil), h.bounds...),
-				Counts: append([]int64(nil), h.counts...),
-				Count:  h.count,
-				Sum:    h.sum,
-				Min:    h.min,
-				Max:    h.max,
-			}
-			s.Histograms[name] = hs
+			s.Histograms[name] = h.snapshot()
 		}
 	}
 	if len(r.timers) > 0 {
 		s.Timers = make(map[string]TimerSnapshot, len(r.timers))
 		for name, t := range r.timers {
-			s.Timers[name] = TimerSnapshot{Count: t.count, TotalS: t.total.Seconds()}
+			s.Timers[name] = TimerSnapshot{Count: t.count.Load(), TotalS: t.Total().Seconds()}
 		}
 	}
 	return s

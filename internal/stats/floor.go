@@ -49,8 +49,8 @@ func SurvivalIntegralFloor(d Distribution, a, b float64) (float64, bool) {
 	// knee·grow; driftRel bounds |t_N − b|/b from the rounding of b/lo, of
 	// 1/N, of Pow and of the N node products (log(b/lo) ≤ N·(ratio − 1) ≤
 	// N·grow bounds the exponent's part).
-	grow := ratio * (1 + 4*unitRoundoff)
-	driftRel := (float64(survivalSteps*(libCallULPs+2+grow)) + 8) * unitRoundoff
+	grow := float64(ratio * (1 + 4*unitRoundoff))
+	driftRel := float64((float64(survivalSteps*(libCallULPs+2+grow)) + 8) * unitRoundoff)
 	f := floorSum{a: a, b: b, lo: lo, bHi: float64(b * (1 + driftRel)), grow: grow}
 	if !f.add(d, d, 1) {
 		return 0, false
@@ -61,8 +61,8 @@ func SurvivalIntegralFloor(d Distribution, a, b float64) (float64, bool) {
 	const gamma = (survivalSteps + 64) * unitRoundoff
 	// The quadrature misses at most [b·(1−driftRel), b], where S is at most
 	// its computed value at b·(1−2·driftRel) plus the evaluation error.
-	drift := float64(b*driftRel) * (1 - d.CDF(float64(b*(1-2*driftRel))) + f.epsS)
-	slack := (f.err + f.kinks + drift + float64(f.epsS*f.bHi)) * (1 + 2*gamma)
+	drift := float64(float64(b*driftRel) * (1 - d.CDF(float64(b*(1-2*driftRel))) + f.epsS))
+	slack := float64((f.err + f.kinks + drift + float64(f.epsS*f.bHi)) * (1 + 2*gamma))
 	floor := f.integral - float64(gamma*math.Abs(f.integral)) - slack
 	if math.IsNaN(floor) || math.IsInf(floor, 0) {
 		return 0, false
@@ -170,7 +170,7 @@ func (f *floorSum) leaf(whole, base Distribution, off, w float64) bool {
 		// The kink's panel [t_k, t_{k+1}] has Δ_k ≤ knee·(grow−1) and
 		// t_{k+1} ≤ fl(knee·grow), so 1 − S(t_{k+1}) ≤ CDF(fl(knee·grow)).
 		cdf := whole.CDF(float64(knee*f.grow)) + epsS
-		f.kinks += float64(float64(w*knee)*(f.grow-1)) * cdf / 2
+		f.kinks += float64(float64(float64(w*knee)*(f.grow-1)) * cdf / 2)
 	}
 	return true
 }
