@@ -707,7 +707,7 @@ func BenchmarkReplicateParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.ReplicateWorkers(workers, replicas, uint64(i)+1, f); err != nil {
+				if _, err := experiments.Replicate(workers, replicas, uint64(i)+1, f); err != nil {
 					b.Fatal(err)
 				}
 			}

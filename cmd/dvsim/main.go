@@ -12,20 +12,14 @@
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"smartbadge"
-	"smartbadge/internal/ckpt"
 	"smartbadge/internal/experiments"
 	"smartbadge/internal/obs"
 	"smartbadge/internal/thrcache"
@@ -46,7 +40,6 @@ type runConfig struct {
 	faults         string
 	noGuardrails   bool
 	thrCache       string
-	ckptDir        string
 }
 
 func main() {
@@ -68,7 +61,6 @@ func main() {
 	flag.StringVar(&c.faults, "faults", "", "inject a fault scenario: "+strings.Join(smartbadge.FaultScenarios(), " | "))
 	flag.BoolVar(&c.noGuardrails, "no-guardrails", false, "run the fault scenario without watchdog/clamps/DPM guard")
 	flag.StringVar(&c.thrCache, "thr-cache", "auto", "threshold cache: auto | off | DIR (auto = per-user cache dir)")
-	flag.StringVar(&c.ckptDir, "ckpt", "", "checkpoint directory: a completed run's report is journaled there and restored instead of re-simulated")
 	flag.Parse()
 	if c.workers > 0 {
 		runtime.GOMAXPROCS(c.workers)
@@ -87,68 +79,8 @@ func main() {
 	}
 }
 
-// run dispatches between the plain path and the checkpointed one. With
-// -ckpt the report text itself is the journaled record (a one-record
-// internal/ckpt store keyed on the full run configuration): a re-run over
-// the same directory restores the bytes without simulating, a different
-// configuration is refused, and a damaged journal is healed to empty and
-// recomputed. Telemetry artifacts are deliberately not part of the
-// checkpoint — a restored run writes the report only.
+// run simulates one configuration and writes its report to w.
 func run(w io.Writer, c runConfig) error {
-	if c.ckptDir == "" {
-		return runSim(w, c)
-	}
-	hash, err := hashRunConfig(c)
-	if err != nil {
-		return err
-	}
-	store, err := ckpt.Open(c.ckptDir, hash, 1, ckpt.Options{})
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	if data, ok := store.Get(0); ok {
-		var text string
-		if json.Unmarshal(data, &text) == nil {
-			fmt.Fprintf(os.Stderr, "dvsim: report restored from checkpoint %s\n", c.ckptDir)
-			_, err := io.WriteString(w, text)
-			return err
-		}
-	}
-	var buf bytes.Buffer
-	if err := runSim(&buf, c); err != nil {
-		return err
-	}
-	if data, err := json.Marshal(buf.String()); err == nil {
-		store.Append(0, data) // best-effort: a full disk degrades resume, not the run
-	}
-	_, err = w.Write(buf.Bytes())
-	return err
-}
-
-// hashRunConfig keys the checkpoint: every knob that changes the report is
-// hashed (file inputs by content, so an edited badge table or trace is a
-// different run); workers, cache placement and telemetry sinks are not.
-func hashRunConfig(c runConfig) (string, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "dvsim-config-v1\napp=%s\nseq=%s\nclip=%s\npolicy=%s\ndpm=%s\ntimeout=%s\nseed=%d\nfaults=%s\nnoguardrails=%t\ntimeline=%t\n",
-		c.app, c.seq, c.clip, c.pol, c.dpmMode,
-		strconv.FormatFloat(c.timeout, 'x', -1, 64), c.seed, c.faults, c.noGuardrails, c.timeline)
-	for _, f := range []struct{ label, path string }{{"badge", c.badgeFile}, {"tracefile", c.traceFile}} {
-		if f.path == "" {
-			fmt.Fprintf(h, "%s=\n", f.label)
-			continue
-		}
-		data, err := os.ReadFile(f.path)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "%s=%x\n", f.label, sha256.Sum256(data))
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-func runSim(w io.Writer, c runConfig) error {
 	cache, err := thrcache.Open(c.thrCache)
 	if err != nil {
 		return err

@@ -115,7 +115,7 @@ func run(w, stderr io.Writer, sc sweepConfig) error {
 	switch strings.ToLower(what) {
 	case "pareto":
 		stop := o.Registry().Timer("sweep.pareto").Start()
-		points, err := experiments.ParetoFrontierWorkers(seed, workers)
+		points, err := experiments.ParetoFrontier(seed, workers)
 		stop()
 		if err != nil {
 			return err
@@ -141,7 +141,7 @@ func run(w, stderr io.Writer, sc sweepConfig) error {
 			return err
 		}
 		stop := o.Registry().Timer("sweep.wakeprob").Start()
-		points, err := experiments.WakeProbSweepWorkers(seed, probs, workers)
+		points, err := experiments.WakeProbSweep(seed, probs, workers)
 		stop()
 		if err != nil {
 			return err

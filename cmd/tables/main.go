@@ -99,7 +99,7 @@ func run(exp string, seed uint64) error {
 		out(experiments.FormatTable5(rows))
 	}
 	if all || exp == "pareto" {
-		points, err := experiments.ParetoFrontier(seed)
+		points, err := experiments.ParetoFrontier(seed, 0)
 		if err != nil {
 			return err
 		}

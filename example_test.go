@@ -75,3 +75,50 @@ func ExampleBattery() {
 	// nominal energy: 6912 J
 	// halving power more than doubles runtime: 2.14x
 }
+
+// The Table 5 experiment on the combined workload: the four power-management
+// configurations the paper compares and the battery lifetime each buys.
+func ExampleBatteryLifetimeHours() {
+	trace, err := smartbadge.CombinedTrace(1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	configs := []struct {
+		name   string
+		policy smartbadge.Policy
+		dpm    smartbadge.DPMMode
+	}{
+		{"None (max clock, always on)", smartbadge.PolicyMax, smartbadge.DPMNone},
+		{"DVS only", smartbadge.PolicyChangePoint, smartbadge.DPMNone},
+		{"DPM only", smartbadge.PolicyMax, smartbadge.DPMRenewal},
+		{"DVS + DPM", smartbadge.PolicyChangePoint, smartbadge.DPMRenewal},
+	}
+	baseline := 0.0
+	fmt.Printf("%-28s %11s %6s %6s %11s\n", "configuration", "energy (kJ)", "factor", "sleeps", "battery (h)")
+	for _, c := range configs {
+		res, err := smartbadge.Run(smartbadge.Options{
+			Application: smartbadge.AppMixed,
+			Policy:      c.policy,
+			DPM:         c.dpm,
+			Trace:       trace,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if baseline == 0 {
+			baseline = res.EnergyJ
+		}
+		hours, err := smartbadge.BatteryLifetimeHours(res, smartbadge.DefaultBattery())
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-28s %11.3f %6.2f %6d %11.1f\n",
+			c.name, res.EnergyJ/1000, baseline/res.EnergyJ, res.Sleeps, hours)
+	}
+	// Output:
+	// configuration                energy (kJ) factor sleeps battery (h)
+	// None (max clock, always on)        5.769   1.00      0         1.1
+	// DVS only                           5.672   1.02      0         1.1
+	// DPM only                           1.802   3.20     16         4.0
+	// DVS + DPM                          1.706   3.38     10         4.2
+}

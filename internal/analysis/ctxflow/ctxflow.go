@@ -1,5 +1,5 @@
 // Package ctxflow enforces the cancellation contract threaded through the
-// serving stack: deadlines enter at the boundary (cmd binaries, examples,
+// serving stack: deadlines enter at the boundary (cmd binaries and
 // internal/server) and must flow as a context.Context all the way down to
 // the shard loops that poll it between badges. Three rules:
 //
@@ -49,14 +49,11 @@ var LoopPkgs = map[string]bool{
 }
 
 // BelowBoundary reports whether pkgPath sits below the context entry
-// boundary. cmd binaries and examples own their process lifetime and
+// boundary. cmd binaries own their process lifetime and
 // internal/server derives contexts from requests; everything else receives
 // its context from above.
 func BelowBoundary(pkgPath string) bool {
 	if strings.HasPrefix(pkgPath, "cmd/") || strings.Contains(pkgPath, "/cmd/") {
-		return false
-	}
-	if strings.HasPrefix(pkgPath, "examples/") || strings.Contains(pkgPath, "/examples/") {
 		return false
 	}
 	last := pkgPath[strings.LastIndex(pkgPath, "/")+1:]

@@ -15,15 +15,15 @@ func TestBoundaryPackage(t *testing.T) {
 	analysistest.Run(t, "testdata/server", ctxflow.Analyzer)
 }
 
-// TestBoundary pins the boundary definition: cmd binaries, examples and the
-// transport layer may mint root contexts; the engine packages may not.
+// TestBoundary pins the boundary definition: cmd binaries and the transport
+// layer may mint root contexts; the engine packages may not.
 func TestBoundary(t *testing.T) {
-	for _, above := range []string{"smartbadge/cmd/dvsimd", "cmd/dvsimd", "smartbadge/examples/dpmpolicy", "smartbadge/internal/server"} {
+	for _, above := range []string{"smartbadge/cmd/dvsimd", "cmd/dvsimd", "smartbadge/internal/server"} {
 		if ctxflow.BelowBoundary(above) {
 			t.Errorf("BelowBoundary(%q) = true, want false (entry boundary)", above)
 		}
 	}
-	for _, below := range []string{"smartbadge/internal/fleet", "smartbadge/internal/parallel", "smartbadge/internal/experiments"} {
+	for _, below := range []string{"smartbadge/internal/fleet", "smartbadge/internal/parallel", "smartbadge/internal/experiments", "smartbadge/examples/dpmpolicy"} {
 		if !ctxflow.BelowBoundary(below) {
 			t.Errorf("BelowBoundary(%q) = false, want true", below)
 		}

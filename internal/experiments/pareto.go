@@ -48,16 +48,10 @@ func paretoWorkload(seed uint64) (*workload.Trace, float64, float64, error) {
 // across delay targets, fixed frequencies, and the queue-aware MDP across
 // delay prices. The frontier generalises the trade-off themes of Figures 4,
 // 5 and 9 into a single measured curve. Points run concurrently on up to
-// GOMAXPROCS workers; see ParetoFrontierWorkers to bound the pool.
-func ParetoFrontier(seed uint64) ([]ParetoPoint, error) {
-	return ParetoFrontierWorkers(seed, 0)
-}
-
-// ParetoFrontierWorkers is ParetoFrontier with an explicit worker bound
-// (<= 0 selects runtime.GOMAXPROCS(0), 1 runs serially). Every point is an
-// independent simulation on the shared read-only trace, so the frontier is
-// identical for any worker count.
-func ParetoFrontierWorkers(seed uint64, workers int) ([]ParetoPoint, error) {
+// workers goroutines (<= 0 selects runtime.GOMAXPROCS(0), 1 runs serially).
+// Every point is an independent simulation on the shared read-only trace, so
+// the frontier is identical for any worker count.
+func ParetoFrontier(seed uint64, workers int) ([]ParetoPoint, error) {
 	tr, lambda, decodeMax, err := paretoWorkload(seed)
 	if err != nil {
 		return nil, err

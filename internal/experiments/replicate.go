@@ -46,18 +46,13 @@ func Summarise(samples []float64) Metric {
 }
 
 // Replicate evaluates f on n consecutive seeds and summarises the results.
-// Replicas run concurrently on up to GOMAXPROCS workers; the summary is
-// computed over the index-ordered samples, so the Metric is identical to a
-// serial evaluation. Use ReplicateWorkers to bound (or serialise) the pool.
-func Replicate(n int, baseSeed uint64, f func(seed uint64) (float64, error)) (Metric, error) {
-	return ReplicateWorkers(0, n, baseSeed, f)
-}
-
-// ReplicateWorkers is Replicate with an explicit worker bound (<= 0 selects
-// runtime.GOMAXPROCS(0), 1 runs serially). f must be safe for concurrent
-// invocation when more than one worker is in play: every experiment in this
-// package constructs its simulator, controller and workload per call.
-func ReplicateWorkers(workers, n int, baseSeed uint64, f func(seed uint64) (float64, error)) (Metric, error) {
+// Replicas run concurrently on up to workers goroutines (<= 0 selects
+// runtime.GOMAXPROCS(0), 1 runs serially); the summary is computed over the
+// index-ordered samples, so the Metric is identical to a serial evaluation.
+// f must be safe for concurrent invocation when more than one worker is in
+// play: every experiment in this package constructs its simulator,
+// controller and workload per call.
+func Replicate(workers, n int, baseSeed uint64, f func(seed uint64) (float64, error)) (Metric, error) {
 	if n < 1 {
 		return Metric{}, fmt.Errorf("experiments: need at least one replica, got %d", n)
 	}
@@ -73,7 +68,7 @@ func ReplicateWorkers(workers, n int, baseSeed uint64, f func(seed uint64) (floa
 // Table5FactorReplicated measures the combined DVS+DPM saving factor (the
 // paper's "factor of three") across n independent workload realisations.
 func Table5FactorReplicated(baseSeed uint64, n int) (Metric, error) {
-	return Replicate(n, baseSeed, func(seed uint64) (float64, error) {
+	return Replicate(0, n, baseSeed, func(seed uint64) (float64, error) {
 		rows, err := Table5(seed)
 		if err != nil {
 			return 0, err
@@ -85,7 +80,7 @@ func Table5FactorReplicated(baseSeed uint64, n int) (Metric, error) {
 // Table3SavingReplicated measures the change-point policy's energy saving
 // versus max performance on the first Table 3 sequence, across realisations.
 func Table3SavingReplicated(baseSeed uint64, n int) (Metric, error) {
-	return Replicate(n, baseSeed, func(seed uint64) (float64, error) {
+	return Replicate(0, n, baseSeed, func(seed uint64) (float64, error) {
 		rows, err := Table3(seed)
 		if err != nil {
 			return 0, err
@@ -102,7 +97,7 @@ func Table3SavingReplicated(baseSeed uint64, n int) (Metric, error) {
 // excess over ideal detection (fractional), across realisations — the
 // paper's "very close to the ideal" claim quantified.
 func ChangePointExcessReplicated(baseSeed uint64, n int) (Metric, error) {
-	return Replicate(n, baseSeed, func(seed uint64) (float64, error) {
+	return Replicate(0, n, baseSeed, func(seed uint64) (float64, error) {
 		rows, err := Table3(seed)
 		if err != nil {
 			return 0, err

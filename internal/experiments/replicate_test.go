@@ -31,10 +31,10 @@ func TestSummarise(t *testing.T) {
 }
 
 func TestReplicateErrors(t *testing.T) {
-	if _, err := Replicate(0, 1, nil); err == nil {
+	if _, err := Replicate(0, 0, 1, nil); err == nil {
 		t.Error("zero replicas accepted")
 	}
-	if _, err := Replicate(2, 1, func(uint64) (float64, error) {
+	if _, err := Replicate(0, 2, 1, func(uint64) (float64, error) {
 		return 0, errFail
 	}); err == nil {
 		t.Error("inner error not propagated")
@@ -49,11 +49,11 @@ func (*failErr) Error() string { return "fail" }
 
 func TestReplicateDeterministic(t *testing.T) {
 	f := func(seed uint64) (float64, error) { return float64(seed * seed), nil }
-	a, err := Replicate(4, 10, f)
+	a, err := Replicate(0, 4, 10, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Replicate(4, 10, f)
+	b, _ := Replicate(0, 4, 10, f)
 	if a != b {
 		t.Error("replication not deterministic")
 	}
@@ -116,11 +116,11 @@ func TestReplicateWorkerCountInvariant(t *testing.T) {
 		return r.MeanAbsError, nil
 	}
 	for _, baseSeed := range []uint64{1, 7, 1234} {
-		serial, err := ReplicateWorkers(1, 6, baseSeed, fig6)
+		serial, err := Replicate(1, 6, baseSeed, fig6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, err := ReplicateWorkers(8, 6, baseSeed, fig6)
+		wide, err := Replicate(8, 6, baseSeed, fig6)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"smartbadge/internal/device"
 	"smartbadge/internal/dpm"
@@ -25,7 +24,7 @@ const ResilienceBufferCap = 4096
 type ResilienceRow struct {
 	// Scenario names the injected fault scenario ("none" is the baseline).
 	Scenario string
-	// Config names the policy configuration (see ResilienceConfigs).
+	// Config names the policy configuration (see resilienceConfigs).
 	Config string
 
 	EnergyKJ float64
@@ -67,16 +66,6 @@ func resilienceConfigs() []resilienceConfig {
 		{"bare", ChangePoint, false},
 		{"max", Max, false},
 	}
-}
-
-// ResilienceConfigs lists the configuration names in table column order.
-func ResilienceConfigs() []string {
-	cfgs := resilienceConfigs()
-	names := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		names[i] = c.name
-	}
-	return names
 }
 
 // GridClamp derives the estimator clamp for a detector rate grid: half the
@@ -215,29 +204,4 @@ func runResilienceCell(tr *workload.Trace, derate []sim.PowerDerate, app App,
 		row.MissRate = float64(res.DelayOverTarget) / float64(res.FramesDecoded)
 	}
 	return row, nil
-}
-
-// FormatResilienceTable renders the resilience table grouped by scenario.
-func FormatResilienceTable(rows []ResilienceRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Resilience: fault scenarios x policy configurations\n")
-	fmt.Fprintf(&b, "%-12s %-8s %12s %8s %9s %7s %7s %6s %10s %9s %7s\n",
-		"Scenario", "Config", "Energy (kJ)", "Rel", "MissRate", "Drops", "PeakQ", "Trips", "SafeMode", "Recovered", "Vetoes")
-	for _, r := range rows {
-		rel := "-"
-		if r.RelEnergy > 0 {
-			rel = fmt.Sprintf("%.3f", r.RelEnergy)
-		}
-		safe := "-"
-		if r.SafeModeS > 0 {
-			safe = fmt.Sprintf("%.1f s", r.SafeModeS)
-		}
-		recovered := "yes"
-		if !r.Recovered {
-			recovered = "NO"
-		}
-		fmt.Fprintf(&b, "%-12s %-8s %12.3f %8s %9.4f %7d %7d %6d %10s %9s %7d\n",
-			r.Scenario, r.Config, r.EnergyKJ, rel, r.MissRate, r.Drops, r.PeakQueue, r.Trips, safe, recovered, r.Vetoes)
-	}
-	return b.String()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"smartbadge/internal/device"
 	"smartbadge/internal/dpm"
@@ -46,17 +45,11 @@ func (c *idleCounter) Name() string          { return c.inner.Name() }
 // constraint: the DPM timeout is the minimum-energy timeout subject to
 // "wake-up penalty in at most p of idle periods", swept over p on the
 // combined Table 5 workload (with ideal-detection DVS held fixed).
-// Constraint points run concurrently on up to GOMAXPROCS workers; see
-// WakeProbSweepWorkers to bound the pool.
-func WakeProbSweep(seed uint64, probs []float64) ([]WakeProbPoint, error) {
-	return WakeProbSweepWorkers(seed, probs, 0)
-}
-
-// WakeProbSweepWorkers is WakeProbSweep with an explicit worker bound
-// (<= 0 selects runtime.GOMAXPROCS(0), 1 runs serially). Each constraint
-// point simulates independently on the shared read-only trace and idle
-// model, so the sweep is identical for any worker count.
-func WakeProbSweepWorkers(seed uint64, probs []float64, workers int) ([]WakeProbPoint, error) {
+// Constraint points run concurrently on up to workers goroutines (<= 0
+// selects runtime.GOMAXPROCS(0), 1 runs serially). Each constraint point
+// simulates independently on the shared read-only trace and idle model, so
+// the sweep is identical for any worker count.
+func WakeProbSweep(seed uint64, probs []float64, workers int) ([]WakeProbPoint, error) {
 	if len(probs) == 0 {
 		return nil, fmt.Errorf("experiments: no constraint points")
 	}
@@ -93,17 +86,4 @@ func WakeProbSweepWorkers(seed uint64, probs []float64, workers int) ([]WakeProb
 		}
 		return pt, nil
 	})
-}
-
-// FormatWakeProbSweep renders the sweep.
-func FormatWakeProbSweep(points []WakeProbPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Performance-constrained DPM sweep (combined workload)\n")
-	fmt.Fprintf(&b, "%12s %12s %12s %8s %12s %12s\n",
-		"max P(wake)", "timeout (s)", "energy (kJ)", "sleeps", "P(wake) got", "delay (s)")
-	for _, p := range points {
-		fmt.Fprintf(&b, "%12g %12.3f %12.3f %8d %12.4f %12.3f\n",
-			p.MaxWakeProb, p.TimeoutS, p.EnergyKJ, p.Sleeps, p.MeasuredWakeProb, p.MeanDelayS)
-	}
-	return b.String()
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"smartbadge/internal/changepoint"
@@ -262,9 +263,9 @@ func (s *Server) parseFleetConfig(req FleetRequest) (fleet.Config, error) {
 		Badges:   req.Badges,
 		Seed:     req.Seed,
 		Workers:  req.Workers,
-		Apps:     req.Apps,
+		Apps:     canonicalNames(req.Apps),
 		Policies: pols,
-		DPMs:     req.DPMs,
+		DPMs:     canonicalNames(req.DPMs),
 	}
 	// Surface app/DPM typos as 400s now rather than 500s mid-run: the spec
 	// derivation is the cheap, pure part of the engine.
@@ -272,6 +273,17 @@ func (s *Server) parseFleetConfig(req FleetRequest) (fleet.Config, error) {
 		return fleet.Config{}, err
 	}
 	return cfg, nil
+}
+
+// canonicalNames applies ParsePolicyKind's spelling rule (trimmed,
+// lowercase) to an app or DPM axis, so every run axis accepts the same
+// spellings; fleet.Validate then matches the names exactly.
+func canonicalNames(names []string) []string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = strings.ToLower(strings.TrimSpace(n))
+	}
+	return out
 }
 
 func badgeJSON(b fleet.BadgeResult) BadgeJSON {

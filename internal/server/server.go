@@ -90,15 +90,6 @@ type Config struct {
 	// Shutdown finish while a stalled client holds a connection).
 	// <= 0 selects 10s.
 	ReadHeaderTimeout time.Duration
-	// ReadTimeout bounds reading one full request including its body;
-	// <= 0 selects 2 minutes (bodies are capped at 1 MiB, so a slower
-	// sender is stalling, not large).
-	ReadTimeout time.Duration
-	// WriteTimeout bounds writing a response, measured from when request
-	// reading begins; <= 0 derives MaxTimeoutMS + 1 minute so it never cuts
-	// a run the deadline cap still allows. Runs with timeout_ms=0 are
-	// transport-bounded by this value.
-	WriteTimeout time.Duration
 }
 
 // route bundles one endpoint's pre-resolved instruments (obs handles are
@@ -175,12 +166,6 @@ func New(cfg Config) *Server {
 	if cfg.ReadHeaderTimeout <= 0 {
 		cfg.ReadHeaderTimeout = 10 * time.Second
 	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = 2 * time.Minute
-	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = time.Duration(cfg.MaxTimeoutMS)*time.Millisecond + time.Minute
-	}
 	cache := experiments.ThresholdCache()
 	m := obs.NewRegistry()
 	s := &Server{
@@ -229,8 +214,13 @@ func New(cfg Config) *Server {
 	s.httpd = &http.Server{
 		Handler:           s.mux,
 		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
-		ReadTimeout:       cfg.ReadTimeout,
-		WriteTimeout:      cfg.WriteTimeout,
+		// Bodies are capped at 1 MiB, so a sender slower than this is
+		// stalling, not large.
+		ReadTimeout: 2 * time.Minute,
+		// Measured from when request reading begins: a minute past the
+		// deadline cap, so it never cuts a run the cap still allows. Runs
+		// with timeout_ms=0 are transport-bounded by this value.
+		WriteTimeout: time.Duration(cfg.MaxTimeoutMS)*time.Millisecond + time.Minute,
 	}
 	return s
 }

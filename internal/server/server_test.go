@@ -324,6 +324,29 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestAxisSpellingRule: every run axis accepts the spellings
+// ParsePolicyKind does (any case, surrounding space), so a mixed-case,
+// space-padded request is served byte-identically to its lowercase twin on
+// both /v1/fleet and /v1/run.
+func TestAxisSpellingRule(t *testing.T) {
+	s := New(Config{})
+	for _, c := range []struct{ path, canonical, spelled string }{
+		{"/v1/fleet", smallFleetBody,
+			`{"badges":3,"seed":7,"apps":[" MP3"],"policies":["ExpAvg "],"dpms":[" None "]}`},
+		{"/v1/run", `{"app":"mp3","policy":"expavg","dpm":"none","seed":7}`,
+			`{"app":"Mp3 ","policy":" EXPAVG","dpm":"NONE","seed":7}`},
+	} {
+		want := postRecorder(s, c.path, c.canonical)
+		got := postRecorder(s, c.path, c.spelled)
+		if want.Code != http.StatusOK || got.Code != http.StatusOK {
+			t.Fatalf("%s: status %d (canonical) / %d (spelled): %s", c.path, want.Code, got.Code, got.Body.String())
+		}
+		if !bytes.Equal(want.Body.Bytes(), got.Body.Bytes()) {
+			t.Errorf("%s: spelled body differs:\n%s\nvs\n%s", c.path, got.Body.String(), want.Body.String())
+		}
+	}
+}
+
 // TestThresholdsEndpoint: a small real characterisation, repeated — the
 // second serve comes from cache and must be byte-identical.
 func TestThresholdsEndpoint(t *testing.T) {

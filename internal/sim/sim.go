@@ -61,6 +61,20 @@ func (m Mode) String() string {
 	}
 }
 
+const (
+	// idleResetGap: an arrival after at least this much idle time (s) starts
+	// a fresh burst — the gap sample is NOT fed to the arrival estimator,
+	// since the paper's exponential arrival model holds only in the active
+	// state.
+	idleResetGap = 1.0
+	// wlanRxS is the radio's active receive time per frame (s). The WLAN's
+	// energy follows the *arrival* stream, not the decode schedule: each
+	// frame costs a fixed RX burst and the radio otherwise sits in its idle
+	// (listening) state while the badge is awake, so slowing the CPU down
+	// does not inflate radio energy.
+	wlanRxS = 0.004
+)
+
 // Config assembles one simulation run.
 type Config struct {
 	Badge *device.Badge
@@ -75,17 +89,6 @@ type Config struct {
 	// generated from a clip list override this per clip, so mixed audio/video
 	// sequences (the Table 5 scenario) account each burst correctly.
 	Kind workload.Kind
-	// IdleResetGap: an arrival after at least this much idle time starts a
-	// fresh burst — the gap sample is NOT fed to the arrival estimator, since
-	// the paper's exponential arrival model holds only in the active state.
-	// Zero selects the default of 1 second.
-	IdleResetGap float64
-	// WLANRxS is the radio's active receive time per frame. The WLAN's
-	// energy follows the *arrival* stream, not the decode schedule: each
-	// frame costs a fixed RX burst and the radio otherwise sits in its idle
-	// (listening) state while the badge is awake, so slowing the CPU down
-	// does not inflate radio energy. Zero selects the default of 4 ms.
-	WLANRxS float64
 	// BufferCap bounds the frame buffer (the real SmartBadge has finite
 	// memory for buffered frames). Arrivals to a full buffer are dropped and
 	// counted in Result.FramesDropped. 0 means unbounded.
@@ -329,18 +332,6 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.DPM == nil {
 		cfg.DPM = dpm.AlwaysOn{}
 	}
-	if cfg.IdleResetGap == 0 {
-		cfg.IdleResetGap = 1.0
-	}
-	if cfg.IdleResetGap < 0 {
-		return nil, fmt.Errorf("sim: negative idle reset gap")
-	}
-	if cfg.WLANRxS == 0 {
-		cfg.WLANRxS = 0.004
-	}
-	if cfg.WLANRxS < 0 {
-		return nil, fmt.Errorf("sim: negative WLAN RX time")
-	}
 	if cfg.BufferCap < 0 {
 		return nil, fmt.Errorf("sim: negative buffer capacity")
 	}
@@ -376,7 +367,7 @@ func New(cfg Config) (*Simulator, error) {
 		switch c.Name {
 		case device.NameWLAN:
 			s.wlanIdx = i
-			s.wlanRxE = (c.Power(device.Active) - c.Power(device.Idle)) * cfg.WLANRxS
+			s.wlanRxE = (c.Power(device.Active) - c.Power(device.Idle)) * wlanRxS
 		case device.NameSRAM:
 			s.sramIdx = i
 			s.sramCoef = (c.Power(device.Active) - c.Power(device.Idle)) * perfmodel.MP3Curve().MemFraction
@@ -880,7 +871,7 @@ func (s *Simulator) handleArrival(f workload.TraceFrame) {
 	if s.haveArrive {
 		gap := f.Arrival - s.lastArrive
 		spansIdle := s.mode == ModeSleep || s.mode == ModeWake ||
-			(s.mode == ModeAwakeIdle && !s.armed(evDecodeDone) && s.buffer.Empty() && gap > s.cfg.IdleResetGap)
+			(s.mode == ModeAwakeIdle && !s.armed(evDecodeDone) && s.buffer.Empty() && gap > idleResetGap)
 		if !spansIdle {
 			s.cfg.Controller.OnArrival(gap, f.TrueArrivalRate)
 		}
@@ -890,7 +881,7 @@ func (s *Simulator) handleArrival(f workload.TraceFrame) {
 	if clips := s.cfg.Trace.Clips; len(clips) > 0 && f.ClipIndex < len(clips) {
 		s.setCurKind(clips[f.ClipIndex].Kind)
 	}
-	// The radio's RX burst for this frame (see Config.WLANRxS).
+	// The radio's RX burst for this frame (see wlanRxS).
 	if s.wlanIdx >= 0 {
 		rxE := s.wlanRxE
 		if len(s.derate) > 0 {

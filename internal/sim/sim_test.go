@@ -368,7 +368,6 @@ func TestConfigValidation(t *testing.T) {
 		{Badge: badge, Proc: proc, Controller: ctrl},
 		{Badge: badge, Proc: proc, Trace: tr},
 		{Badge: badge, Proc: proc, Trace: &workload.Trace{}, Controller: ctrl},
-		{Badge: badge, Proc: proc, Trace: tr, Controller: ctrl, IdleResetGap: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

@@ -14,18 +14,17 @@
 // still no arrival" is
 //
 //	V(i) = min( sleepNow(i), wait(i) )
-//	sleepNow(i) = E_tr + penalty + P_sleep·E[T − t_i | T > t_i]
+//	sleepNow(i) = E_tr + P_sleep·E[T − t_i | T > t_i]
 //	wait(i)     = P_idle·E[min(T, t_{i+1}) − t_i | T > t_i]
 //	              + P(T > t_{i+1} | T > t_i) · V(i+1)
 //
-// where E_tr is the sleep+wake transition energy and penalty is an optional
-// performance-cost weight per wake-up (the knob that trades energy for the
-// paper's performance constraint). All conditional expectations reduce to
-// survival integrals. The optimal action vector is exposed directly; because
-// sleeping is absorbing, executing the policy means sleeping at the first
-// index whose action is "sleep", so the policy also reduces to an optimal
-// timeout — which for renewal-type cost structures agrees with the
-// renewal-theory policy of package dpm (the tests cross-validate the two).
+// where E_tr is the sleep+wake transition energy. All conditional
+// expectations reduce to survival integrals. The optimal action vector is
+// exposed directly; because sleeping is absorbing, executing the policy
+// means sleeping at the first index whose action is "sleep", so the policy
+// also reduces to an optimal timeout — which for renewal-type cost
+// structures agrees with the renewal-theory policy of package dpm (the tests
+// cross-validate the two).
 package tismdp
 
 import (
@@ -46,10 +45,6 @@ type Config struct {
 	Costs dpm.Costs
 	// Target is the low-power state the policy transitions to.
 	Target device.PowerState
-	// WakePenaltyJ is an additional cost charged per wake-up, expressing the
-	// performance constraint as an energy-equivalent price. 0 optimises for
-	// energy alone.
-	WakePenaltyJ float64
 	// Edges are the ascending time-index edges (seconds, first edge 0).
 	// Nil selects a log-spaced default grid spanning the break-even time.
 	Edges []float64
@@ -93,9 +88,6 @@ func Solve(cfg Config) (*Policy, error) {
 	}
 	if cfg.Target != device.Standby && cfg.Target != device.Off {
 		return nil, fmt.Errorf("tismdp: target must be standby or off, got %v", cfg.Target)
-	}
-	if cfg.WakePenaltyJ < 0 {
-		return nil, fmt.Errorf("tismdp: negative wake penalty")
 	}
 	edges := cfg.Edges
 	if edges == nil {
@@ -143,7 +135,7 @@ func Solve(cfg Config) (*Policy, error) {
 		return stats.SurvivalIntegral(dist, edges[i], relTail(edges[i])) / s
 	}
 	sleepNow := func(i int) float64 {
-		return c.TransitionEnergyJ + cfg.WakePenaltyJ + c.SleepPowerW*residual(i)
+		return c.TransitionEnergyJ + c.SleepPowerW*residual(i)
 	}
 
 	values := make([]float64, n)
@@ -217,99 +209,8 @@ func (p *Policy) Decide(float64) dpm.Decision {
 	return dpm.Decision{Sleep: true, Timeout: p.timeout, Target: p.cfg.Target}
 }
 
-// ObserveIdle implements dpm.Policy. The solved policy is static; adaptive
-// refitting composes by re-solving with a refreshed distribution (see
-// Adaptive).
+// ObserveIdle implements dpm.Policy. The solved policy is static.
 func (p *Policy) ObserveIdle(float64) {}
 
 // Name implements dpm.Policy.
 func (p *Policy) Name() string { return "tismdp" }
-
-// Adaptive wraps the solver with on-line model refitting: it starts from a
-// prior idle-time model and, every refitEvery observed idle periods, re-fits
-// the model to the empirical history (short-gap exponential bulk plus a
-// Pareto tail above the break-even time) and re-solves the dynamic program.
-// This closes the loop the paper leaves open — its policies are optimised
-// off-line against a pre-characterised distribution.
-type Adaptive struct {
-	cfg        Config
-	refitEvery int
-	observed   []float64
-	current    *Policy
-}
-
-// NewAdaptive solves the prior model and returns the adaptive policy.
-func NewAdaptive(cfg Config, refitEvery int) (*Adaptive, error) {
-	if refitEvery < 10 {
-		return nil, fmt.Errorf("tismdp: refit interval must be >= 10, got %d", refitEvery)
-	}
-	p, err := Solve(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Adaptive{cfg: cfg, refitEvery: refitEvery, current: p}, nil
-}
-
-// Decide implements dpm.Policy.
-func (a *Adaptive) Decide(oracleIdle float64) dpm.Decision { return a.current.Decide(oracleIdle) }
-
-// Timeout returns the current effective timeout.
-func (a *Adaptive) Timeout() float64 { return a.current.Timeout() }
-
-// ObserveIdle implements dpm.Policy: record the period and periodically
-// refit + re-solve.
-func (a *Adaptive) ObserveIdle(duration float64) {
-	if duration <= 0 {
-		return
-	}
-	a.observed = append(a.observed, duration)
-	if len(a.observed)%a.refitEvery != 0 {
-		return
-	}
-	model, ok := fitIdleModel(a.observed, a.cfg.Costs.BreakEven())
-	if !ok {
-		return
-	}
-	cfg := a.cfg
-	cfg.Idle = model
-	if p, err := Solve(cfg); err == nil {
-		a.current = p
-	}
-}
-
-// Name implements dpm.Policy.
-func (*Adaptive) Name() string { return "tismdp-adaptive" }
-
-// fitIdleModel fits the composite short-bulk + heavy-tail model to observed
-// idle periods, splitting at the break-even time.
-func fitIdleModel(observed []float64, split float64) (stats.Distribution, bool) {
-	if split <= 0 {
-		split = 0.1
-	}
-	var short, long []float64
-	for _, d := range observed {
-		if d > split {
-			long = append(long, d)
-		} else {
-			short = append(short, d)
-		}
-	}
-	if len(short) < 5 {
-		return nil, false
-	}
-	bulk, err := stats.FitExponential(short)
-	if err != nil {
-		return nil, false
-	}
-	if len(long) < 3 {
-		return bulk, true
-	}
-	tail, err := stats.FitPareto(long)
-	if err != nil {
-		return bulk, true
-	}
-	return stats.NewMixture(
-		[]float64{float64(len(short)), float64(len(long))},
-		[]stats.Distribution{bulk, tail},
-	), true
-}

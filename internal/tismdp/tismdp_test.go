@@ -27,7 +27,6 @@ func TestSolveValidation(t *testing.T) {
 		func(c *Config) { c.Idle = nil },
 		func(c *Config) { c.Costs = dpm.Costs{} },
 		func(c *Config) { c.Target = device.Active },
-		func(c *Config) { c.WakePenaltyJ = -1 },
 		func(c *Config) { c.Edges = []float64{0.5, 1} }, // must start at 0
 		func(c *Config) { c.Edges = []float64{0} },
 		func(c *Config) { c.Edges = []float64{0, 1, 1} },
@@ -181,97 +180,6 @@ func TestAgreesWithRenewalTheory(t *testing.T) {
 		if math.Abs(p.ExpectedCost()-eT) > 0.05*eT+1e-6 {
 			t.Errorf("%s: DP value %v vs evaluated energy %v", dist, p.ExpectedCost(), eT)
 		}
-	}
-}
-
-func TestWakePenaltyDelaysSleep(t *testing.T) {
-	c := testCosts()
-	dist := stats.NewPareto(0.05, 1.5)
-	base, err := Solve(Config{Idle: dist, Costs: c, Target: device.Standby})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pen, err := Solve(Config{Idle: dist, Costs: c, Target: device.Standby, WakePenaltyJ: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(pen.Timeout() > base.Timeout()) {
-		t.Errorf("wake penalty should delay sleeping: %v -> %v", base.Timeout(), pen.Timeout())
-	}
-}
-
-func TestAdaptiveRefits(t *testing.T) {
-	c := testCosts()
-	// Prior: long idle periods (sleep early). Reality: short ones.
-	prior := Config{Idle: stats.NewPareto(10, 1.5), Costs: c, Target: device.Standby}
-	a, err := NewAdaptive(prior, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Name() != "tismdp-adaptive" {
-		t.Error("name wrong")
-	}
-	before := a.Timeout()
-	rng := stats.NewRNG(5)
-	short := stats.NewExponential(30) // mean 33 ms, far below break-even
-	for i := 0; i < 200; i++ {
-		a.ObserveIdle(short.Sample(rng))
-	}
-	after := a.Timeout()
-	// With purely short idle periods the refit model says sleeping never
-	// pays: the timeout must move up (possibly to +Inf).
-	if !(after > before) {
-		t.Errorf("adaptive timeout did not move up: %v -> %v", before, after)
-	}
-	if d := a.Decide(0); d.Sleep && d.Timeout <= before {
-		t.Errorf("decision still sleeps early: %+v", d)
-	}
-	// Now feed a heavy tail: the policy must come back down.
-	heavy := stats.NewPareto(5, 1.5)
-	for i := 0; i < 300; i++ {
-		if i%3 == 0 {
-			a.ObserveIdle(heavy.Sample(rng))
-		} else {
-			a.ObserveIdle(short.Sample(rng))
-		}
-	}
-	if math.IsInf(a.Timeout(), 1) {
-		t.Error("policy never re-learned to sleep on the heavy tail")
-	}
-	// Validation.
-	if _, err := NewAdaptive(prior, 5); err == nil {
-		t.Error("tiny refit interval accepted")
-	}
-	if _, err := NewAdaptive(Config{}, 50); err == nil {
-		t.Error("invalid prior accepted")
-	}
-	a.ObserveIdle(0) // ignored, must not panic
-}
-
-func TestFitIdleModel(t *testing.T) {
-	rng := stats.NewRNG(9)
-	var obs []float64
-	for i := 0; i < 100; i++ {
-		obs = append(obs, rng.Exp(25))
-	}
-	for i := 0; i < 10; i++ {
-		obs = append(obs, 5+rng.Pareto(5, 2))
-	}
-	m, ok := fitIdleModel(obs, 0.1)
-	if !ok {
-		t.Fatal("fit failed")
-	}
-	// The fitted mixture must put most probability mass below the split.
-	if c := m.CDF(0.1); c < 0.7 {
-		t.Errorf("CDF(split) = %v, want bulk below split", c)
-	}
-	// Too few observations: no fit.
-	if _, ok := fitIdleModel([]float64{0.01, 0.02}, 0.1); ok {
-		t.Error("fit succeeded on 2 samples")
-	}
-	// Degenerate split falls back to a default.
-	if _, ok := fitIdleModel(obs, 0); !ok {
-		t.Error("zero split should still fit")
 	}
 }
 

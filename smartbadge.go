@@ -25,6 +25,7 @@
 package smartbadge
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
@@ -65,29 +66,14 @@ const (
 	PolicyMax Policy = "max"
 )
 
-// ParsePolicy converts a string to a Policy.
+// ParsePolicy converts a string to a Policy. All three Parse functions
+// share one spelling rule: case is ignored and surrounding space trimmed.
 func ParsePolicy(s string) (Policy, error) {
-	switch Policy(strings.ToLower(s)) {
-	case PolicyIdeal, PolicyChangePoint, PolicyExpAvg, PolicyMax:
-		return Policy(strings.ToLower(s)), nil
-	default:
-		return "", fmt.Errorf("smartbadge: unknown policy %q (want ideal|changepoint|expavg|max)", s)
+	k, err := experiments.ParsePolicyKind(s)
+	if err != nil {
+		return "", err
 	}
-}
-
-func (p Policy) kind() (experiments.PolicyKind, error) {
-	switch p {
-	case PolicyIdeal:
-		return experiments.Ideal, nil
-	case PolicyChangePoint:
-		return experiments.ChangePoint, nil
-	case PolicyExpAvg:
-		return experiments.ExpAvg, nil
-	case PolicyMax:
-		return experiments.Max, nil
-	default:
-		return 0, fmt.Errorf("smartbadge: unknown policy %q", string(p))
-	}
+	return Policy(k.WireName()), nil
 }
 
 // DPMMode selects the idle-state power management policy.
@@ -111,9 +97,9 @@ const (
 
 // ParseDPM converts a string to a DPMMode.
 func ParseDPM(s string) (DPMMode, error) {
-	switch DPMMode(strings.ToLower(s)) {
+	switch m := DPMMode(strings.ToLower(strings.TrimSpace(s))); m {
 	case DPMNone, DPMTimeout, DPMRenewal, DPMTISMDP, DPMOracle:
-		return DPMMode(strings.ToLower(s)), nil
+		return m, nil
 	default:
 		return "", fmt.Errorf("smartbadge: unknown DPM mode %q (want none|timeout|renewal|tismdp|oracle)", s)
 	}
@@ -134,9 +120,9 @@ const (
 
 // ParseApplication converts a string to an Application.
 func ParseApplication(s string) (Application, error) {
-	switch Application(strings.ToLower(s)) {
+	switch a := Application(strings.ToLower(strings.TrimSpace(s))); a {
 	case AppMP3, AppMPEG, AppMixed:
-		return Application(strings.ToLower(s)), nil
+		return a, nil
 	default:
 		return "", fmt.Errorf("smartbadge: unknown application %q (want mp3|mpeg|mixed)", s)
 	}
@@ -335,20 +321,12 @@ func Run(opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Application == "" {
-		opts.Application = AppMP3
-	}
-	if opts.Policy == "" {
-		opts.Policy = PolicyChangePoint
-	}
-	if opts.DPM == "" {
-		opts.DPM = DPMNone
-	}
+	// Validate accepted every axis, so parsing here only canonicalises the
+	// spelling (or fills in the default).
+	opts.Application, _ = ParseApplication(string(cmp.Or(opts.Application, AppMP3)))
+	opts.DPM, _ = ParseDPM(string(cmp.Or(opts.DPM, DPMNone)))
+	kind, _ := experiments.ParsePolicyKind(string(cmp.Or(opts.Policy, PolicyChangePoint)))
 	app, err := opts.Application.app()
-	if err != nil {
-		return nil, err
-	}
-	kind, err := opts.Policy.kind()
 	if err != nil {
 		return nil, err
 	}

@@ -39,6 +39,39 @@ func TestParseApplication(t *testing.T) {
 	}
 }
 
+// TestParseSpellingRule: the three run axes share one spelling rule — case
+// is ignored and surrounding space trimmed — and Run canonicalises Options
+// spelled that way to the same report.
+func TestParseSpellingRule(t *testing.T) {
+	checkParse(t, ParsePolicy, map[string]Policy{" ChangePoint": PolicyChangePoint, "MAX\t": PolicyMax})
+	checkParse(t, ParseApplication, map[string]Application{" mp3": AppMP3, "Mixed ": AppMixed})
+	checkParse(t, ParseDPM, map[string]DPMMode{" Renewal ": DPMRenewal, "TISMDP": DPMTISMDP})
+	tr, err := MP3Trace(3, "A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(Options{Trace: tr, Application: AppMP3, Policy: PolicyExpAvg, DPM: DPMTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(Options{Trace: tr, Application: " MP3", Policy: "ExpAvg", DPM: "Timeout "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if FormatResult(got) != FormatResult(want) {
+		t.Error("spelled options give a different report")
+	}
+}
+
+func checkParse[T ~string](t *testing.T, parse func(string) (T, error), cases map[string]T) {
+	t.Helper()
+	for in, want := range cases {
+		if got, err := parse(in); err != nil || got != want {
+			t.Errorf("parse(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+}
+
 func TestTraceConstructors(t *testing.T) {
 	if _, err := MP3Trace(1, "ACEFBD"); err != nil {
 		t.Errorf("MP3Trace: %v", err)
