@@ -9,6 +9,10 @@
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/metrics
 //
+// Before it listens, the daemon characterises the detector rate grids of
+// the default apps in one pass through the threshold cache, so the
+// "serving on" line means the default specs run warm.
+//
 // SIGINT/SIGTERM drain gracefully: in-flight requests complete (up to
 // -drain-timeout seconds) before the process exits.
 package main
@@ -27,6 +31,7 @@ import (
 	"time"
 
 	"smartbadge/internal/experiments"
+	"smartbadge/internal/fleet"
 	"smartbadge/internal/server"
 	"smartbadge/internal/thrcache"
 )
@@ -69,6 +74,12 @@ func run(args []string, out io.Writer, ready chan<- string, sigs <-chan os.Signa
 	// One cache for everything: badge runs characterise through the
 	// process-wide cache, /v1/thresholds and /metrics use the same one.
 	experiments.SetThresholdCache(cache)
+	// Characterise the default apps' rate grids before listening, in one
+	// stream-major pass: once the daemon accepts connections it is warm,
+	// and no request can start a duplicate single-grid characterisation.
+	if err := fleet.WarmThresholds(fleet.DefaultApps()); err != nil {
+		return err
+	}
 
 	srv := server.New(server.Config{
 		MaxInFlight:  *inflight,

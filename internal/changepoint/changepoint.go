@@ -56,6 +56,20 @@
 // of simulations. A detector resolves its G×G table of log ratios, rate
 // differences and thresholds once, in NewDetector.
 //
+// Stream sharing. A grid's distinct ratios are taken in scan order, and
+// ratio i is scored on null stream i, NewRNG(Seed).SplitAt(i), cut into
+// CharacterisationWindows windows of WindowSize unit-rate samples. That
+// stream does not depend on the ratio, so every grid characterised with
+// the same (Seed, WindowSize, CharacterisationWindows) draws the same
+// windows for its i-th ratio. CharacteriseAll is therefore stream-major:
+// it draws each stream once, builds each window's suffix sums once, and
+// scores the window for the i-th ratio of every grid in the batch. The five
+// default grids (62 ratios) need 14 streams instead of 62. Each ratio keeps
+// its statistics and builds its histogram from them; when the histogram
+// clips near the quantile, the span is doubled and the stored statistics
+// re-binned. Every threshold is bit-identical to characterising each grid
+// alone, for any batch and worker count.
+//
 // On-line detection. Every k-th observation (the paper's check interval),
 // the detector evaluates the statistic for every candidate λn ≠ λo and
 // reports the candidate with the largest margin above its threshold, if any.
@@ -114,9 +128,9 @@ type Config struct {
 	CharacterisationWindows int
 	// Seed drives the characterisation simulation.
 	Seed uint64
-	// Workers bounds the characterisation fan-out: the distinct rate ratios
-	// are simulated concurrently, each on its own index-derived RNG stream,
-	// so the thresholds are bit-for-bit identical for any worker count.
+	// Workers bounds the characterisation fan-out: the null streams are
+	// simulated concurrently, each index-derived from Seed, so the
+	// thresholds are bit-for-bit identical for any worker count.
 	// 0 selects runtime.GOMAXPROCS(0); negative is invalid.
 	Workers int
 	// Obs, when non-nil, attaches the observability layer to the off-line
@@ -249,16 +263,31 @@ func snapIndex(rates []float64, x float64) int {
 // first) under candidate rates (λo → λn), along with the argmax k.
 // Equation 4 of the paper, evaluated for every k in one backward pass.
 func logLikelihoodMax(values []float64, oldRate, newRate float64) (best float64, bestK int) {
-	m := len(values)
-	logRatio := math.Log(newRate / oldRate)
-	delta := newRate - oldRate
+	sufs := make([]float64, len(values))
+	suffixSums(values, sufs)
+	return scoreSuffixes(sufs, math.Log(newRate/oldRate), newRate-oldRate)
+}
+
+// suffixSums sets sufs[k] = Σ_{j=k..m-1} values[j], accumulated backward
+// from the newest sample. Characterisation scores every ratio of a null
+// window from one such pass, so each ratio sees the same bits.
+func suffixSums(values, sufs []float64) {
+	suffix := 0.0
+	for k := len(values) - 1; k >= 0; k-- {
+		suffix += values[k]
+		sufs[k] = suffix
+	}
+}
+
+// scoreSuffixes returns max_k ln P(k) = (m−k)·logRatio − delta·sufs[k] over
+// the suffix sums of an m-sample window, and its largest argmax: k runs
+// downward from m−1 and only a strictly larger value replaces the best.
+func scoreSuffixes(sufs []float64, logRatio, delta float64) (best float64, bestK int) {
+	m := len(sufs)
 	best = math.Inf(-1)
 	bestK = m
-	suffix := 0.0
-	// k = m-1 .. 0; suffix holds Σ_{j=k+1..m} x_j after adding values[k].
 	for k := m - 1; k >= 0; k-- {
-		suffix += values[k]
-		lp := float64(m-k)*logRatio - delta*suffix
+		lp := float64(m-k)*logRatio - delta*sufs[k]
 		if lp > best {
 			best = lp
 			bestK = k
@@ -288,66 +317,136 @@ func ratioKey(ratio float64) int64 {
 // threshold table for the configured rate set. This is the expensive,
 // run-once step; the result can be shared by any number of detectors.
 func Characterise(cfg Config) (*Thresholds, error) {
-	t, _, err := characterise(cfg, false)
-	return t, err
+	ths, _, err := characterise([]Config{cfg}, false)
+	if err != nil {
+		return nil, err
+	}
+	return ths[0], nil
 }
 
 // CharacteriseDetailed additionally returns the null-hypothesis statistic
 // histograms per rate ratio — the "results accumulated in a histogram" the
 // paper describes — for inspection (see cmd/characterize -hist).
 func CharacteriseDetailed(cfg Config) (*Thresholds, map[float64]*stats.Histogram, error) {
-	return characterise(cfg, true)
-}
-
-func characterise(cfg Config, keepHistograms bool) (*Thresholds, map[float64]*stats.Histogram, error) {
-	if err := cfg.Validate(); err != nil {
+	ths, hists, err := characterise([]Config{cfg}, true)
+	if err != nil {
 		return nil, nil, err
 	}
-	t := &Thresholds{
-		windowSize: cfg.WindowSize,
-		confidence: cfg.Confidence,
-		byRatio:    make(map[int64]float64),
-	}
-	var hists map[float64]*stats.Histogram
-	if keepHistograms {
-		hists = make(map[float64]*stats.Histogram)
-	}
+	return ths[0], hists[0], nil
+}
+
+// CharacteriseAll characterises several configurations in one stream-major
+// pass and returns their threshold tables in order; each is bit-identical
+// to Characterise of its config. Configurations with the same Seed,
+// WindowSize and CharacterisationWindows share their null windows (see the
+// package comment), so a batch draws each null stream once. The pass runs
+// on the largest worker count any config asks for. Any invalid config fails
+// the whole batch before anything is simulated.
+func CharacteriseAll(cfgs []Config) ([]*Thresholds, error) {
+	ths, _, err := characterise(cfgs, false)
+	return ths, err
+}
+
+// nullSample identifies a family of null streams: stream i is
+// NewRNG(seed).SplitAt(i), cut into windows of m unit-rate samples.
+type nullSample struct {
+	seed       uint64
+	m, windows int
+}
+
+// streamJob scores stream `stream` of a null sample against ratio index
+// `stream` of every member config that has that many ratios.
+type streamJob struct {
+	sample  nullSample
+	stream  int
+	members []int // indices into the batch
+}
+
+func characterise(cfgs []Config, keepHistograms bool) ([]*Thresholds, []map[float64]*stats.Histogram, error) {
 	// The null distribution depends only on the ratio, and the pivot
-	// λo·Σx lets us simulate once at λo = 1. Collect the distinct ratios in
-	// deterministic scan order, then fan the simulations out: each ratio gets
-	// its own index-derived RNG stream, so the thresholds are identical for
-	// any worker count.
-	seen := make(map[int64]bool)
-	var ratios []float64
-	for _, lo := range cfg.Rates {
-		for _, ln := range cfg.Rates {
-			if lo == ln {
-				continue
+	// λo·Σx lets us simulate once at λo = 1. Each config's distinct ratios
+	// are collected in deterministic scan order; ratio i is scored on stream
+	// i of the config's null sample, so the thresholds are identical for any
+	// worker count and any batch the config is part of.
+	ratios := make([][]float64, len(cfgs))
+	workers := 0
+	for c, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, nil, err
+		}
+		ratios[c] = gridRatios(cfg.Rates)
+		workers = max(workers, parallel.Workers(cfg.Workers))
+	}
+	jobs := planStreams(cfgs, ratios)
+
+	stops := make([]func(), len(cfgs))
+	for c, cfg := range cfgs {
+		//lint:allow obscheck one timer per config around the shared pass; each config may carry its own registry
+		stops[c] = cfg.Obs.Registry().Timer("changepoint.characterise").Start()
+	}
+	byCfg := make([][]*stats.Histogram, len(cfgs)) // byCfg[c][i]: ratio i of cfgs[c]
+	for c := range cfgs {
+		byCfg[c] = make([]*stats.Histogram, len(ratios[c]))
+	}
+	err := parallel.ForEach(workers, len(jobs), func(j int) error {
+		job := jobs[j]
+		jr := make([]float64, len(job.members))
+		for p, c := range job.members {
+			jr[p] = ratios[c][job.stream]
+		}
+		statistics := scoreNullStream(stats.NewRNG(job.sample.seed).SplitAt(uint64(job.stream)),
+			job.sample.m, job.sample.windows, jr)
+		for p, c := range job.members {
+			// Statistic range: ln P is bounded above by m·|ln ratio| in
+			// practice; histogram over a generous span with fine bins.
+			span := float64(cfgs[c].WindowSize)*math.Abs(math.Log(jr[p])) + 10
+			h, err := nullHistogram(statistics[p], jr[p], span, cfgs[c].Confidence)
+			if err != nil {
+				return err
 			}
-			ratio := ln / lo
-			if key := ratioKey(ratio); !seen[key] {
-				seen[key] = true
-				ratios = append(ratios, ratio)
+			byCfg[c][job.stream] = h // each (config, ratio) has one job
+		}
+		return nil
+	})
+	for _, stop := range stops {
+		stop()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+
+	ths := make([]*Thresholds, len(cfgs))
+	var hists []map[float64]*stats.Histogram
+	if keepHistograms {
+		hists = make([]map[float64]*stats.Histogram, len(cfgs))
+	}
+	for c, cfg := range cfgs {
+		ths[c] = thresholdTable(cfg, ratios[c], byCfg[c])
+		if keepHistograms {
+			hists[c] = make(map[float64]*stats.Histogram, len(ratios[c]))
+			for i, ratio := range ratios[c] {
+				hists[c][ratio] = byCfg[c][i]
 			}
 		}
 	}
-	stop := cfg.Obs.Registry().Timer("changepoint.characterise").Start()
-	base := stats.NewRNG(cfg.Seed)
-	hs, err := parallel.Map(cfg.Workers, len(ratios), func(i int) (*stats.Histogram, error) {
-		return characteriseRatio(base.SplitAt(uint64(i)), ratios[i], cfg)
-	})
-	stop()
-	if err != nil {
-		return nil, nil, err
+	return ths, hists, nil
+}
+
+// thresholdTable reads each ratio's threshold off its null histogram
+// (hs[i] for ratios[i]) and reports the config's characterisation to its
+// Obs: one "threshold" event per ratio in scan order, then the window and
+// ratio counters.
+func thresholdTable(cfg Config, ratios []float64, hs []*stats.Histogram) *Thresholds {
+	t := &Thresholds{
+		windowSize: cfg.WindowSize,
+		confidence: cfg.Confidence,
+		byRatio:    make(map[int64]float64, len(ratios)),
 	}
 	tr := cfg.Obs.Tracer()
 	for i, ratio := range ratios {
 		th := hs[i].Quantile(cfg.Confidence)
 		t.byRatio[ratioKey(ratio)] = th
 		t.ratios = append(t.ratios, ratio)
-		if keepHistograms {
-			hists[ratio] = hs[i]
-		}
 		if tr != nil {
 			tr.Emit(obs.Event{Kind: "threshold", NewRate: ratio, Value: th,
 				Detail: fmt.Sprintf("m=%d conf=%g windows=%d", cfg.WindowSize, cfg.Confidence, cfg.CharacterisationWindows)})
@@ -359,47 +458,116 @@ func characterise(cfg Config, keepHistograms bool) (*Thresholds, map[float64]*st
 		reg.Counter("changepoint.characterise.ratios").Add(float64(len(ratios)))
 	}
 	sort.Float64s(t.ratios)
-	return t, hists, nil
+	return t
 }
 
-// characteriseRatio simulates null windows at unit rate and returns the
-// histogram of the statistic for candidate rate = ratio. rng is this
-// ratio's private stream (the caller derives it with SplitAt, so workers
-// never share generator state). When the histogram clips near the
-// confidence quantile (extreme statistics landing in the under/overflow
-// bins, which would silently bias the threshold), the span is doubled and a
-// Clone of the untouched stream re-simulated — every attempt scores the
-// identical sample sequence and widening changes only the binning, never
-// the data. Persistent clipping fails loudly rather than returning a
-// biased threshold.
-func characteriseRatio(rng *stats.RNG, ratio float64, cfg Config) (*stats.Histogram, error) {
-	// Statistic range: ln P is bounded above by m·|ln ratio| in practice;
-	// histogram over a generous span with fine bins.
-	span := float64(cfg.WindowSize)*math.Abs(math.Log(ratio)) + 10
+// planStreams groups the configs by null sample, in order of first
+// appearance, and returns one job per (sample, stream index) that some
+// member has a ratio for. ratios[c] are the distinct ratios of cfgs[c].
+func planStreams(cfgs []Config, ratios [][]float64) []streamJob {
+	groups := make(map[nullSample][]int)
+	var order []nullSample
+	for c, cfg := range cfgs {
+		key := nullSample{seed: cfg.Seed, m: cfg.WindowSize, windows: cfg.CharacterisationWindows}
+		if _, ok := groups[key]; !ok {
+			order = append(order, key)
+		}
+		groups[key] = append(groups[key], c)
+	}
+	var jobs []streamJob
+	for _, key := range order {
+		for i := 0; ; i++ {
+			var members []int
+			for _, c := range groups[key] {
+				if i < len(ratios[c]) {
+					members = append(members, c)
+				}
+			}
+			if len(members) == 0 {
+				break
+			}
+			jobs = append(jobs, streamJob{sample: key, stream: i, members: members})
+		}
+	}
+	return jobs
+}
+
+// gridRatios returns the distinct ratios λn/λo of a rate grid, λn ≠ λo, in
+// scan order (λo outer, λn inner), deduplicated by ratioKey.
+func gridRatios(rates []float64) []float64 {
+	seen := make(map[int64]bool)
+	var ratios []float64
+	for _, lo := range rates {
+		for _, ln := range rates {
+			if lo == ln {
+				continue
+			}
+			ratio := ln / lo
+			if key := ratioKey(ratio); !seen[key] {
+				seen[key] = true
+				ratios = append(ratios, ratio)
+			}
+		}
+	}
+	return ratios
+}
+
+// scoreNullStream draws `windows` null windows of m unit-rate samples from
+// rng and returns, for each ratio, the statistic of every window against
+// it (statistics[r][w]). Each window's suffix sums are built once and
+// shared by every ratio.
+func scoreNullStream(rng *stats.RNG, m, windows int, ratios []float64) [][]float64 {
+	logRatios := make([]float64, len(ratios))
+	deltas := make([]float64, len(ratios))
+	statistics := make([][]float64, len(ratios))
+	for r, ratio := range ratios {
+		// λo = 1 → λn = ratio: ln(λn/λo) and λn − λo.
+		logRatios[r] = math.Log(ratio)
+		deltas[r] = ratio - 1
+		statistics[r] = make([]float64, windows)
+	}
+	values := make([]float64, m)
+	sufs := make([]float64, m)
+	for w := 0; w < windows; w++ {
+		for i := range values {
+			values[i] = rng.Exp(1)
+		}
+		suffixSums(values, sufs)
+		for r := range ratios {
+			statistics[r][w], _ = scoreSuffixes(sufs, logRatios[r], deltas[r])
+		}
+	}
+	return statistics
+}
+
+// nullHistogram bins one ratio's null statistics, in window order, over
+// [-span, span). When the histogram clips near the confidence quantile
+// (extreme statistics landing in the under/overflow bins, which would
+// silently bias the threshold), the span is doubled and the same stored
+// statistics re-binned — widening changes only the binning, never the
+// data. Persistent clipping fails loudly rather than returning a biased
+// threshold.
+func nullHistogram(statistics []float64, ratio, span, confidence float64) (*stats.Histogram, error) {
 	const maxAttempts = 8
 	for attempt := 0; ; attempt++ {
-		h := nullStatisticHistogram(rng.Clone(), ratio, cfg, span)
-		if !quantileClipped(h, cfg.Confidence) {
+		h := binStatistics(statistics, span)
+		if !quantileClipped(h, confidence) {
 			return h, nil
 		}
 		if attempt == maxAttempts-1 {
 			return nil, fmt.Errorf(
 				"changepoint: null statistic for ratio %v clips near the %.4g quantile even at span ±%g (under=%d over=%d of %d): threshold would be biased",
-				ratio, cfg.Confidence, span, h.UnderflowCount(), h.OverflowCount(), h.Count())
+				ratio, confidence, span, h.UnderflowCount(), h.OverflowCount(), h.Count())
 		}
 		span *= 2
 	}
 }
 
-// nullStatisticHistogram fills one null-hypothesis histogram over [-span, span).
-func nullStatisticHistogram(rng *stats.RNG, ratio float64, cfg Config, span float64) *stats.Histogram {
-	values := make([]float64, cfg.WindowSize)
+// binStatistics fills one histogram over [-span, span) with the statistics
+// in order.
+func binStatistics(statistics []float64, span float64) *stats.Histogram {
 	h := stats.NewHistogram(-span, span, 4096)
-	for w := 0; w < cfg.CharacterisationWindows; w++ {
-		for i := range values {
-			values[i] = rng.Exp(1)
-		}
-		s, _ := logLikelihoodMax(values, 1, ratio)
+	for _, s := range statistics {
 		h.Add(s)
 	}
 	return h

@@ -49,32 +49,37 @@ func TestQuantileClipped(t *testing.T) {
 	}
 }
 
-// TestCharacteriseRatioWidensSpanWhenClipped checks the loud-failure fix end
-// to end: a span too narrow for the statistic clips, and characteriseRatio
-// recovers by re-binning the identical sample stream over a doubled span
-// until the confidence quantile is clean.
-func TestCharacteriseRatioWidensSpanWhenClipped(t *testing.T) {
+// TestNullHistogramWidensSpanWhenClipped checks the loud-failure fix end
+// to end on stored statistics: a span too narrow for the statistic clips,
+// and nullHistogram, started from that span, recovers by re-binning the
+// same statistics over doubled spans until the confidence quantile is
+// clean.
+func TestNullHistogramWidensSpanWhenClipped(t *testing.T) {
 	cfg := testConfig()
-	base := stats.NewRNG(cfg.Seed)
+	const ratio, tinySpan = 6, 0.05
+	statistics := scoreNullStream(stats.NewRNG(cfg.Seed).SplitAt(3),
+		cfg.WindowSize, cfg.CharacterisationWindows, []float64{ratio})[0]
 
 	// A deliberately tiny span must clip near the quantile...
-	tiny := nullStatisticHistogram(base.SplitAt(3), 6, cfg, 0.05)
+	tiny := binStatistics(statistics, tinySpan)
 	if !quantileClipped(tiny, cfg.Confidence) {
 		t.Fatal("expected a 0.05-wide span to clip the null statistic")
 	}
 
-	// ...while characteriseRatio's automatic widening returns a clean
-	// histogram over the same samples (each attempt re-simulates a Clone of
-	// the derived stream, so the data is identical).
-	h, err := characteriseRatio(base.SplitAt(3), 6, cfg)
+	// ...while widening from it returns a clean histogram over the same
+	// statistics.
+	h, err := nullHistogram(statistics, ratio, tinySpan, cfg.Confidence)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quantileClipped(h, cfg.Confidence) {
-		t.Fatal("characteriseRatio returned a clipped histogram")
+	if _, hi := h.Range(); hi <= tinySpan {
+		t.Fatalf("span %v was not widened", hi)
 	}
-	if h.Count() != int64(cfg.CharacterisationWindows) {
-		t.Fatalf("sample count = %d, want %d", h.Count(), cfg.CharacterisationWindows)
+	if quantileClipped(h, cfg.Confidence) {
+		t.Fatal("nullHistogram returned a clipped histogram")
+	}
+	if h.Count() != tiny.Count() || h.Count() != int64(cfg.CharacterisationWindows) {
+		t.Fatalf("sample count = %d (clipped %d), want %d", h.Count(), tiny.Count(), cfg.CharacterisationWindows)
 	}
 	if h.Mean() != tiny.Mean() {
 		t.Fatalf("widening changed the data: mean %v vs %v", h.Mean(), tiny.Mean())

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -173,6 +174,24 @@ func thresholdsFor(rates []float64) (*changepoint.Thresholds, changepoint.Config
 	cfg := changepoint.DefaultConfig(rates)
 	th, err := thresholdCache.Load().Characterise(cfg)
 	return th, cfg, err
+}
+
+// WarmThresholds characterises the arrival and service grids of apps
+// through the process-wide threshold cache in one batch
+// (thrcache.Cache.CharacteriseAll), each with the config thresholdsFor
+// uses, so detectors built later for those apps are cache hits. A grid that
+// several apps share is characterised once.
+func WarmThresholds(apps ...App) error {
+	var cfgs []changepoint.Config
+	for _, app := range apps {
+		for _, grid := range [][]float64{app.ArrivalGrid, app.ServiceGrid} {
+			if !slices.ContainsFunc(cfgs, func(c changepoint.Config) bool { return slices.Equal(c.Rates, grid) }) {
+				cfgs = append(cfgs, changepoint.DefaultConfig(grid))
+			}
+		}
+	}
+	_, err := thresholdCache.Load().CharacteriseAll(cfgs)
+	return err
 }
 
 // ExpAvgGain is the exponential-average gain used in the table comparisons

@@ -38,7 +38,9 @@
 //
 // Concurrent requests for the same key share one computation (single
 // flight): the first caller characterises, the rest block and receive the
-// same table.
+// same table. CharacteriseAll resolves a batch of keys at once and
+// characterises all of its misses in one stream-major pass
+// (changepoint.CharacteriseAll).
 //
 // # Determinism
 //
@@ -236,68 +238,157 @@ func Key(cfg changepoint.Config) (string, error) {
 // Characterise returns the threshold table for cfg, from cache when
 // possible. The returned *Thresholds is shared and must be treated as
 // read-only (its API is). Hits are bit-identical to a fresh
-// changepoint.Characterise(cfg).
+// changepoint.Characterise(cfg). It is CharacteriseAll of one key, without
+// the batch's slices on the hit path.
 func (c *Cache) Characterise(cfg changepoint.Config) (*changepoint.Thresholds, error) {
 	key, err := Key(cfg)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
+	th, fl, owned := c.lookupLocked(key)
+	c.mu.Unlock()
+	if th != nil {
+		return th, nil
+	}
+	if owned {
+		c.fill([]string{key}, []changepoint.Config{cfg}, []*flight{fl})
+	}
+	<-fl.done
+	return fl.th, fl.err
+}
+
+// CharacteriseAll returns the threshold tables for cfgs, in order, from
+// cache when possible. Under one lock acquisition each key becomes a memory
+// hit, a join of a characterisation already in flight (another caller's,
+// or an earlier duplicate in this batch), or a flight this call owns. The
+// owned keys are then loaded from disk where possible, and the rest are
+// characterised together in one changepoint.CharacteriseAll pass, so keys
+// sharing a null sample draw it once. An invalid config fails the batch
+// before any flight is registered; a failed pass fails every flight it
+// owned.
+func (c *Cache) CharacteriseAll(cfgs []changepoint.Config) ([]*changepoint.Thresholds, error) {
+	keys := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		key, err := Key(cfg)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = key
+	}
+	out := make([]*changepoint.Thresholds, len(cfgs))
+	flights := make([]*flight, len(cfgs)) // nil for memory hits
+	var (
+		ownedKeys    []string
+		ownedCfgs    []changepoint.Config
+		ownedFlights []*flight
+	)
+	c.mu.Lock()
+	for i, key := range keys {
+		th, fl, owned := c.lookupLocked(key)
+		out[i], flights[i] = th, fl
+		if owned {
+			ownedKeys = append(ownedKeys, key)
+			ownedCfgs = append(ownedCfgs, cfgs[i])
+			ownedFlights = append(ownedFlights, fl)
+		}
+	}
+	c.mu.Unlock()
+
+	if len(ownedKeys) > 0 {
+		c.fill(ownedKeys, ownedCfgs, ownedFlights)
+	}
+	for i, fl := range flights {
+		if fl == nil {
+			continue
+		}
+		<-fl.done
+		if fl.err != nil {
+			return nil, fl.err
+		}
+		out[i] = fl.th
+	}
+	return out, nil
+}
+
+// lookupLocked resolves key under c.mu. A memory hit returns its table.
+// Otherwise it returns the flight to wait on: one already in flight, or a
+// new one that owned reports the caller must fill.
+func (c *Cache) lookupLocked(key string) (th *changepoint.Thresholds, fl *flight, owned bool) {
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		c.stats.MemHits++
-		th := el.Value.(*memEntry).th
-		c.mu.Unlock()
-		return th, nil
+		return el.Value.(*memEntry).th, nil, false
 	}
 	if fl, ok := c.inflight[key]; ok {
 		c.stats.Shared++
-		c.mu.Unlock()
-		<-fl.done
-		return fl.th, fl.err
+		return nil, fl, false
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl = &flight{done: make(chan struct{})}
 	c.inflight[key] = fl
-	c.mu.Unlock()
-
-	th, fromDisk, rejected, err := c.fill(key, cfg)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.stats.Rejected += rejected
-	if err == nil {
-		if fromDisk {
-			c.stats.DiskHits++
-		} else {
-			c.stats.Misses++
-		}
-		c.insertLocked(key, th)
-	}
-	c.mu.Unlock()
-
-	fl.th, fl.err = th, err
-	close(fl.done)
-	return th, err
+	return nil, fl, true
 }
 
-// fill resolves a memory miss: disk load, else fresh characterisation plus a
-// best-effort store. Runs outside the cache lock (this is the slow path the
-// single-flight protects).
-func (c *Cache) fill(key string, cfg changepoint.Config) (th *changepoint.Thresholds, fromDisk bool, rejected uint64, err error) {
-	if c.dir != "" {
-		var ok bool
-		if th, ok, rejected = c.load(key); ok {
-			return th, true, rejected, nil
+// fill resolves the keys whose flights the caller owns: disk loads first,
+// then one characterisation pass over the rest, each stored best-effort.
+// It runs outside the cache lock (this is the slow path the single flight
+// protects) and closes every flight.
+func (c *Cache) fill(keys []string, cfgs []changepoint.Config, flights []*flight) {
+	ths := make([]*changepoint.Thresholds, len(keys))
+	fromDisk := make([]bool, len(keys))
+	var (
+		rejected uint64
+		todo     []int // indices left to characterise
+		todoCfgs []changepoint.Config
+	)
+	for i, key := range keys {
+		if c.dir != "" {
+			th, ok, rej := c.load(key)
+			rejected += rej
+			if ok {
+				ths[i], fromDisk[i] = th, true
+				continue
+			}
+		}
+		todo = append(todo, i)
+		todoCfgs = append(todoCfgs, cfgs[i])
+	}
+	var err error
+	if len(todo) > 0 {
+		var fresh []*changepoint.Thresholds
+		if fresh, err = changepoint.CharacteriseAll(todoCfgs); err == nil {
+			for q, i := range todo {
+				ths[i] = fresh[q]
+				if c.dir != "" {
+					c.store(keys[i], fresh[q]) // best-effort; see package comment
+				}
+			}
 		}
 	}
-	th, err = changepoint.Characterise(cfg)
-	if err != nil {
-		return nil, false, rejected, err
+
+	c.mu.Lock()
+	c.stats.Rejected += rejected
+	for i, key := range keys {
+		delete(c.inflight, key)
+		switch {
+		case ths[i] == nil: // the failed pass
+		case fromDisk[i]:
+			c.stats.DiskHits++
+			c.insertLocked(key, ths[i])
+		default:
+			c.stats.Misses++
+			c.insertLocked(key, ths[i])
+		}
 	}
-	if c.dir != "" {
-		c.store(key, th) // best-effort; see package comment
+	c.mu.Unlock()
+
+	for i, fl := range flights {
+		fl.th = ths[i]
+		if fl.th == nil {
+			fl.err = err
+		}
+		close(fl.done)
 	}
-	return th, false, rejected, nil
 }
 
 // insertLocked adds the entry to the LRU, evicting from the back past
