@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"smartbadge/internal/experiments"
-	"smartbadge/internal/fleet"
 	"smartbadge/internal/server"
 	"smartbadge/internal/thrcache"
 )
@@ -77,7 +76,7 @@ func run(args []string, out io.Writer, ready chan<- string, sigs <-chan os.Signa
 	// Characterise the default apps' rate grids before listening, in one
 	// stream-major pass: once the daemon accepts connections it is warm,
 	// and no request can start a duplicate single-grid characterisation.
-	if err := fleet.WarmThresholds(fleet.DefaultApps()); err != nil {
+	if err := experiments.WarmDefaultThresholds(); err != nil {
 		return err
 	}
 

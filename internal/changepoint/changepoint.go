@@ -153,6 +153,17 @@ type Config struct {
 	NaiveStats bool
 }
 
+// Upper bounds on the characterisation sample. Characterisation keeps every
+// window's statistic for each ratio it scores (8·CharacterisationWindows
+// bytes per ratio in flight) plus two WindowSize-sample buffers per stream,
+// so these caps bound its memory whatever a caller asks for: a config
+// arriving over the network cannot make one allocation exhaust the process.
+// Both are far above the paper's m = 100 and the default 4000 windows.
+const (
+	MaxWindowSize              = 100_000
+	MaxCharacterisationWindows = 1_000_000
+)
+
 // DefaultConfig returns the paper's operating point: m = 100, check every
 // 5 samples, 99.5 % confidence, and a null sample of 4000 windows per ratio.
 func DefaultConfig(rates []float64) Config {
@@ -183,8 +194,8 @@ func (c Config) Validate() error {
 		}
 		seen[r] = true
 	}
-	if c.WindowSize < 10 {
-		return fmt.Errorf("changepoint: window size %d too small (need >= 10)", c.WindowSize)
+	if c.WindowSize < 10 || c.WindowSize > MaxWindowSize {
+		return fmt.Errorf("changepoint: window size %d out of range (need 10..%d)", c.WindowSize, MaxWindowSize)
 	}
 	if c.CheckInterval < 1 {
 		return fmt.Errorf("changepoint: check interval must be >= 1, got %d", c.CheckInterval)
@@ -205,8 +216,9 @@ func (c Config) Validate() error {
 	if c.Confidence <= 0.5 || c.Confidence >= 1 {
 		return fmt.Errorf("changepoint: confidence must be in (0.5, 1), got %v", c.Confidence)
 	}
-	if c.CharacterisationWindows < 100 {
-		return fmt.Errorf("changepoint: need >= 100 characterisation windows, got %d", c.CharacterisationWindows)
+	if c.CharacterisationWindows < 100 || c.CharacterisationWindows > MaxCharacterisationWindows {
+		return fmt.Errorf("changepoint: need 100..%d characterisation windows, got %d",
+			MaxCharacterisationWindows, c.CharacterisationWindows)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("changepoint: workers must be non-negative, got %d", c.Workers)
@@ -340,8 +352,13 @@ func CharacteriseDetailed(cfg Config) (*Thresholds, map[float64]*stats.Histogram
 // to Characterise of its config. Configurations with the same Seed,
 // WindowSize and CharacterisationWindows share their null windows (see the
 // package comment), so a batch draws each null stream once. The pass runs
-// on the largest worker count any config asks for. Any invalid config fails
-// the whole batch before anything is simulated.
+// on the largest worker count any config asks for.
+//
+// Errors are per batch, not per config: an invalid config fails the whole
+// batch before anything is simulated, and a ratio whose null statistic
+// still clips at the widest span fails the whole batch after the pass, so a
+// config that would characterise alone gets no table either. A caller that
+// needs each config to fail only for itself calls Characterise per config.
 func CharacteriseAll(cfgs []Config) ([]*Thresholds, error) {
 	ths, _, err := characterise(cfgs, false)
 	return ths, err

@@ -39,6 +39,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Confidence = 0.4 },
 		func(c *Config) { c.Confidence = 1.0 },
 		func(c *Config) { c.CharacterisationWindows = 10 },
+		func(c *Config) { c.CharacterisationWindows = MaxCharacterisationWindows + 1 },
+		func(c *Config) { c.WindowSize = MaxWindowSize + 1 },
 	}
 	for i, mutate := range mutations {
 		cfg := testConfig()

@@ -176,14 +176,14 @@ func thresholdsFor(rates []float64) (*changepoint.Thresholds, changepoint.Config
 	return th, cfg, err
 }
 
-// WarmThresholds characterises the arrival and service grids of apps
-// through the process-wide threshold cache in one batch
-// (thrcache.Cache.CharacteriseAll), each with the config thresholdsFor
-// uses, so detectors built later for those apps are cache hits. A grid that
-// several apps share is characterised once.
-func WarmThresholds(apps ...App) error {
+// WarmDefaultThresholds characterises the arrival and service grids of the
+// three apps (MP3App, MPEGApp, MixedApp) through the process-wide threshold
+// cache in one batch (thrcache.Cache.CharacteriseAll), each with the config
+// thresholdsFor uses, so detectors built later for those apps are cache
+// hits. A grid that several apps share is characterised once.
+func WarmDefaultThresholds() error {
 	var cfgs []changepoint.Config
-	for _, app := range apps {
+	for _, app := range []App{MP3App(), MPEGApp(), MixedApp()} {
 		for _, grid := range [][]float64{app.ArrivalGrid, app.ServiceGrid} {
 			if !slices.ContainsFunc(cfgs, func(c changepoint.Config) bool { return slices.Equal(c.Rates, grid) }) {
 				cfgs = append(cfgs, changepoint.DefaultConfig(grid))

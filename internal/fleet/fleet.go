@@ -360,44 +360,16 @@ func runBadgeRecover(cfg *Config, i int, sc **sim.Scratch) (r BadgeResult, err e
 	return runBadgeFn(cfg, i, *sc)
 }
 
-// appFor resolves an app name to its controller configuration.
-func appFor(name string) (experiments.App, error) {
-	switch name {
-	case "mp3":
-		return experiments.MP3App(), nil
-	case "mpeg":
-		return experiments.MPEGApp(), nil
-	case "mixed":
-		return experiments.MixedApp(), nil
-	}
-	return experiments.App{}, fmt.Errorf("fleet: unknown app %q (want mp3, mpeg or mixed)", name)
-}
-
-// WarmThresholds characterises the detector rate grids of the named apps
-// through the process threshold cache, in one stream-major pass
-// (experiments.WarmThresholds), so later badges of those apps start warm.
-func WarmThresholds(apps []string) error {
-	resolved := make([]experiments.App, len(apps))
-	for i, name := range apps {
-		app, err := appFor(name)
-		if err != nil {
-			return err
-		}
-		resolved[i] = app
-	}
-	return experiments.WarmThresholds(resolved...)
-}
-
 // runBadge simulates one badge on the given scratch.
 func runBadge(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
 	spec := cfg.SpecFor(i)
 	rng := stats.NewRNG(cfg.Seed).SplitAt(uint64(i))
 
-	app, err := appFor(spec.App)
-	if err != nil {
-		return BadgeResult{}, err
-	}
-	var tr *workload.Trace
+	var (
+		tr  *workload.Trace
+		app experiments.App
+		err error
+	)
 	switch spec.App {
 	case "mp3":
 		var clips []workload.Clip
@@ -405,10 +377,13 @@ func runBadge(cfg *Config, i int, sc *sim.Scratch) (BadgeResult, error) {
 		if err == nil {
 			tr, err = workload.Generate(rng, clips, workload.GenerateOptions{})
 		}
+		app = experiments.MP3App()
 	case "mpeg":
 		tr, err = workload.Generate(rng, workload.MPEGClips(), workload.GenerateOptions{})
+		app = experiments.MPEGApp()
 	case "mixed":
 		tr, err = experiments.Table5Workload(rng.Uint64())
+		app = experiments.MixedApp()
 	}
 	if err != nil {
 		return BadgeResult{}, err

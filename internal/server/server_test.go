@@ -390,6 +390,10 @@ func TestRequestValidation(t *testing.T) {
 		{"/v1/fleet", `{"badges":1,"unknown_knob":3}`, http.StatusBadRequest},
 		{"/v1/run", `{"app":"doom"}`, http.StatusBadRequest},
 		{"/v1/thresholds", `{"rates":[5]}`, http.StatusBadRequest},
+		// Out-of-range sample sizes are refused before anything is
+		// allocated: each would otherwise ask for gigabytes per worker.
+		{"/v1/thresholds", `{"rates":[2,4],"characterisation_windows":2000000000}`, http.StatusBadRequest},
+		{"/v1/thresholds", `{"rates":[2,4],"window_size":2000000000}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		rec := postRecorder(s, c.path, c.body)

@@ -265,8 +265,12 @@ func (c *Cache) Characterise(cfg changepoint.Config) (*changepoint.Thresholds, e
 // owned keys are then loaded from disk where possible, and the rest are
 // characterised together in one changepoint.CharacteriseAll pass, so keys
 // sharing a null sample draw it once. An invalid config fails the batch
-// before any flight is registered; a failed pass fails every flight it
-// owned.
+// before any flight is registered. A failed pass fails every flight it
+// owned with the pass's error, so one config that fails characterisation
+// fails every key this call computes, and a concurrent Characterise caller
+// that joined one of those flights receives that other config's error.
+// The one caller, dvsimd's warm start, runs before the daemon serves, so
+// no request can join its flights.
 func (c *Cache) CharacteriseAll(cfgs []changepoint.Config) ([]*changepoint.Thresholds, error) {
 	keys := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
