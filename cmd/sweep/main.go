@@ -214,6 +214,12 @@ func run(w, stderr io.Writer, sc sweepConfig) error {
 			}
 			journal = store
 		}
+		// Characterise the default grids in one stream-major pass, as
+		// dvsimd does at start-up: badges would otherwise characterise a
+		// cold cache grid by grid.
+		if err := experiments.WarmDefaultThresholds(); err != nil {
+			return err
+		}
 		stop := o.Registry().Timer("sweep.fleet").Start()
 		started := time.Now()
 		rep, err := fleet.RunResumeCtx(context.Background(), fcfg, journal)

@@ -75,19 +75,20 @@ func DefaultPolicies() []experiments.PolicyKind {
 // DefaultDPMs is the default power-management axis.
 func DefaultDPMs() []string { return []string{"none", "renewal"} }
 
+// normalise fills the default axes and applies ParsePolicyKind's spelling
+// rule (trimmed, lowercase) to the app and DPM axes, so every run axis
+// accepts the same spellings, then checks the names exactly. The axes are
+// rewritten into fresh slices: the caller's Apps and DPMs are never
+// touched.
 func (c *Config) normalise() error {
 	if c.Badges <= 0 {
 		return fmt.Errorf("fleet: Badges must be positive, got %d", c.Badges)
 	}
-	if len(c.Apps) == 0 {
-		c.Apps = DefaultApps()
-	}
+	c.Apps = canonicalAxis(c.Apps, DefaultApps)
 	if len(c.Policies) == 0 {
 		c.Policies = DefaultPolicies()
 	}
-	if len(c.DPMs) == 0 {
-		c.DPMs = DefaultDPMs()
-	}
+	c.DPMs = canonicalAxis(c.DPMs, DefaultDPMs)
 	for _, a := range c.Apps {
 		if a != "mp3" && a != "mpeg" && a != "mixed" {
 			return fmt.Errorf("fleet: unknown app %q (want mp3, mpeg or mixed)", a)
@@ -101,10 +102,23 @@ func (c *Config) normalise() error {
 	return nil
 }
 
+// canonicalAxis returns names spelled canonically in a fresh slice, or the
+// default axis when names is empty.
+func canonicalAxis(names []string, defaults func() []string) []string {
+	if len(names) == 0 {
+		return defaults()
+	}
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = strings.ToLower(strings.TrimSpace(n))
+	}
+	return out
+}
+
 // Validate checks cfg without running it and returns the normalised copy
-// (defaults filled in). Request-scoped callers — the serving daemon — use it
-// to turn config typos into client errors before any admission or engine
-// work happens.
+// (defaults filled in, axis names spelled canonically). Request-scoped
+// callers — the serving daemon — use it to turn config typos into client
+// errors before any admission or engine work happens.
 func Validate(cfg Config) (Config, error) {
 	if err := cfg.normalise(); err != nil {
 		return Config{}, err

@@ -81,6 +81,28 @@ func TestBadgeResultsIndependentOfBatchSize(t *testing.T) {
 	}
 }
 
+// TestValidateSpellingRule: Validate accepts the spellings ParsePolicyKind
+// does on the app and DPM axes, returns them canonical (so the config
+// hashes like its lowercase twin), and leaves the caller's slices alone.
+func TestValidateSpellingRule(t *testing.T) {
+	apps, dpms := []string{" MP3", "Mixed "}, []string{"NONE"}
+	got, err := Validate(Config{Badges: 2, Apps: apps, DPMs: dpms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Apps, []string{"mp3", "mixed"}) || !reflect.DeepEqual(got.DPMs, []string{"none"}) {
+		t.Errorf("canonical axes = %q / %q", got.Apps, got.DPMs)
+	}
+	if apps[0] != " MP3" || apps[1] != "Mixed " || dpms[0] != "NONE" {
+		t.Errorf("caller's axes rewritten: %q / %q", apps, dpms)
+	}
+	spelled, _ := Config{Badges: 2, Apps: apps, DPMs: dpms}.Hash()
+	canonical, _ := Config{Badges: 2, Apps: []string{"mp3", "mixed"}, DPMs: []string{"none"}}.Hash()
+	if spelled != canonical {
+		t.Errorf("spelled config hashes %s, canonical %s", spelled, canonical)
+	}
+}
+
 // TestSpecDerivation pins the mixed-radix index decomposition: app cycles
 // fastest, then policy, then DPM.
 func TestSpecDerivation(t *testing.T) {

@@ -1,8 +1,7 @@
 // Package markov provides the continuous-time Markov chain machinery behind
 // the paper's system model (Figures 7 and 8): birth-death chains for the
-// M/M/1 frame queue — including the finite-buffer M/M/1/K variant the real
-// SmartBadge implements — and a general CTMC steady-state solver for
-// assembled power-state models.
+// M/M/1 frame queue, including the finite-buffer M/M/1/K variant the real
+// SmartBadge implements.
 //
 // The package exists for analytic cross-validation: the simulator's
 // queue-length distribution, delay and drop rate must match what the chain
@@ -10,10 +9,7 @@
 // service) hold. The test suites of sim and markov enforce that agreement.
 package markov
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BirthDeath is a finite birth-death chain on states 0..N.
 type BirthDeath struct {
@@ -110,124 +106,4 @@ func AnalyzeMM1K(lambda, mu float64, k int) (QueueStats, error) {
 		s.MeanDelay = s.MeanLength / s.Throughput
 	}
 	return s, nil
-}
-
-// CTMC is a general continuous-time Markov chain given by its rate matrix:
-// Q[i][j] is the transition rate i -> j (i != j); diagonal entries are
-// ignored and recomputed as the negative row sum.
-type CTMC struct {
-	q [][]float64
-}
-
-// NewCTMC validates the off-diagonal rates and returns the chain.
-func NewCTMC(rates [][]float64) (*CTMC, error) {
-	n := len(rates)
-	if n < 2 {
-		return nil, fmt.Errorf("markov: CTMC needs at least two states, got %d", n)
-	}
-	q := make([][]float64, n)
-	for i, row := range rates {
-		if len(row) != n {
-			return nil, fmt.Errorf("markov: row %d has %d entries, want %d", i, len(row), n)
-		}
-		q[i] = make([]float64, n)
-		diag := 0.0
-		for j, r := range row {
-			if i == j {
-				continue
-			}
-			if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-				return nil, fmt.Errorf("markov: invalid rate q[%d][%d] = %v", i, j, r)
-			}
-			q[i][j] = r
-			diag += r
-		}
-		q[i][i] = -diag
-	}
-	return &CTMC{q: q}, nil
-}
-
-// States returns the number of states.
-func (c *CTMC) States() int { return len(c.q) }
-
-// SteadyState solves π·Q = 0 with Σπ = 1 by Gaussian elimination with
-// partial pivoting (one balance equation is replaced by the normalisation).
-// It returns an error if the chain is reducible (singular system).
-func (c *CTMC) SteadyState() ([]float64, error) {
-	n := len(c.q)
-	// Build Aᵀ x = b where A's first n-1 columns are Q's columns (balance
-	// equations Σ_i π_i q_ij = 0 for j < n-1) and the last is all ones.
-	a := make([][]float64, n)
-	b := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a[i] = make([]float64, n)
-		for j := 0; j < n-1; j++ {
-			a[i][j] = c.q[i][j]
-		}
-		a[i][n-1] = 1
-	}
-	b[n-1] = 0 // placeholder; rhs built below
-	// We need xᵀ·columns = rhs: transpose to standard form M·π = rhs with
-	// M[j][i] = a[i][j], rhs = (0,...,0,1).
-	m := make([][]float64, n)
-	rhs := make([]float64, n)
-	for j := 0; j < n; j++ {
-		m[j] = make([]float64, n)
-		for i := 0; i < n; i++ {
-			m[j][i] = a[i][j]
-		}
-	}
-	rhs[n-1] = 1
-	pi, err := solveLinear(m, rhs)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range pi {
-		if p < -1e-9 {
-			return nil, fmt.Errorf("markov: negative stationary probability π[%d] = %v", i, p)
-		}
-		if p < 0 {
-			pi[i] = 0
-		}
-	}
-	return pi, nil
-}
-
-// solveLinear solves m·x = b with partial pivoting, destructively.
-func solveLinear(m [][]float64, b []float64) ([]float64, error) {
-	n := len(m)
-	for col := 0; col < n; col++ {
-		// Pivot.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-12 {
-			return nil, fmt.Errorf("markov: singular system at column %d (reducible chain?)", col)
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		// Eliminate.
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		sum := b[r]
-		for c := r + 1; c < n; c++ {
-			sum -= m[r][c] * x[c]
-		}
-		x[r] = sum / m[r][r]
-	}
-	return x, nil
 }

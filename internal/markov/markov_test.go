@@ -93,96 +93,3 @@ func TestMM1KValidation(t *testing.T) {
 		t.Error("zero capacity accepted")
 	}
 }
-
-func TestCTMCValidation(t *testing.T) {
-	if _, err := NewCTMC([][]float64{{0}}); err == nil {
-		t.Error("1-state chain accepted")
-	}
-	if _, err := NewCTMC([][]float64{{0, 1}, {1}}); err == nil {
-		t.Error("ragged matrix accepted")
-	}
-	if _, err := NewCTMC([][]float64{{0, -1}, {1, 0}}); err == nil {
-		t.Error("negative rate accepted")
-	}
-	if _, err := NewCTMC([][]float64{{0, math.NaN()}, {1, 0}}); err == nil {
-		t.Error("NaN rate accepted")
-	}
-}
-
-// The CTMC solver must agree with the birth-death closed form.
-func TestCTMCAgreesWithBirthDeath(t *testing.T) {
-	lambda, mu := 20.0, 30.0
-	const k = 6
-	rates := make([][]float64, k+1)
-	for i := range rates {
-		rates[i] = make([]float64, k+1)
-		if i < k {
-			rates[i][i+1] = lambda
-		}
-		if i > 0 {
-			rates[i][i-1] = mu
-		}
-	}
-	chain, err := NewCTMC(rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chain.States() != k+1 {
-		t.Fatalf("states = %d", chain.States())
-	}
-	got, err := chain.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd, _ := MM1K(lambda, mu, k)
-	want := bd.SteadyState()
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Errorf("π_%d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// A three-state power model: active -> idle -> sleep -> active cycle.
-func TestCTMCPowerStateCycle(t *testing.T) {
-	// active->idle at 1, idle->sleep at 0.5, sleep->active at 0.25.
-	chain, err := NewCTMC([][]float64{
-		{0, 1, 0},
-		{0, 0, 0.5},
-		{0.25, 0, 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pi, err := chain.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cycle chain: π_i ∝ 1/rate_out: (1, 2, 4)/7.
-	want := []float64{1.0 / 7, 2.0 / 7, 4.0 / 7}
-	for i := range want {
-		if math.Abs(pi[i]-want[i]) > 1e-9 {
-			t.Errorf("π_%d = %v, want %v", i, pi[i], want[i])
-		}
-	}
-	sum := pi[0] + pi[1] + pi[2]
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("Σπ = %v", sum)
-	}
-}
-
-func TestCTMCReducibleFails(t *testing.T) {
-	// Two disconnected 1-cycles: reducible, no unique stationary law.
-	chain, err := NewCTMC([][]float64{
-		{0, 1, 0, 0},
-		{1, 0, 0, 0},
-		{0, 0, 0, 1},
-		{0, 0, 1, 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := chain.SteadyState(); err == nil {
-		t.Error("reducible chain solved without error")
-	}
-}

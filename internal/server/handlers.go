@@ -1,5 +1,5 @@
-// handlers.go: the /v1 endpoints — request/response DTOs, validation, and
-// the shared admit → run-with-context → render pipeline.
+// handlers.go: the /v1 endpoints — request/response DTOs, each route's
+// parse step, and the one POST pipeline they share (post).
 //
 // Responses are rendered with one canonical encoding (json.Marshal of typed
 // structs, trailing newline) and carry no timing, identity or cache-state
@@ -9,12 +9,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"smartbadge/internal/changepoint"
@@ -239,51 +239,191 @@ func (s *Server) admitResponse(err error) response {
 	}
 }
 
-// parseFleetConfig validates a FleetRequest against the server limits and
-// lowers it to a fleet.Config.
-func (s *Server) parseFleetConfig(req FleetRequest) (fleet.Config, error) {
+// job is what a route's parse step hands the POST pipeline: the body's
+// timeout_ms and the engine work that yields the 200 body's value.
+type job struct {
+	timeoutMS int64
+	run       func(ctx context.Context) (any, error)
+}
+
+// post returns the handler of POST /v1/<name>, the one pipeline every
+// engine endpoint runs: method check → capped body read → parse → key →
+// admit → run → render. parse is the route's only contribution; it
+// strictly decodes and validates the body, and any error it returns is a
+// 400. A run error answers 504 "cancelled" when the request context is
+// done by then, and 500 with the error's message otherwise.
+func (s *Server) post(name string, parse func(body []byte) (job, error)) http.HandlerFunc {
+	rt := &route{
+		requests:  s.metrics.Counter("server." + name + ".requests"),
+		failures:  s.metrics.Counter("server." + name + ".failures"),
+		latencyMS: s.metrics.Histogram("server."+name+".latency_ms", latencyBucketsMS),
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		defer observeLatency(rt, start)
+		rt.requests.Inc()
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, "POST only")
+			return
+		}
+		body, ok := s.readBody(w, r, rt)
+		if !ok {
+			return
+		}
+		j, err := parse(body)
+		var key string
+		if err == nil {
+			key, err = idemKey(r, name, body)
+		}
+		if err != nil {
+			rt.failures.Inc()
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		s.serveIdempotent(w, r, rt, key, func() response {
+			ctx, cancel := s.requestCtx(r, j.timeoutMS)
+			defer cancel()
+			release, err := s.admit(ctx)
+			if err != nil {
+				return s.admitResponse(err)
+			}
+			defer release()
+			v, err := j.run(ctx)
+			switch {
+			case err == nil:
+				return respJSON(http.StatusOK, v)
+			case ctx.Err() != nil:
+				s.cCanceled.Inc()
+				return cancelledResponse()
+			default:
+				return respJSON(http.StatusInternalServerError, errorResponse{Status: "error", Error: err.Error()})
+			}
+		})
+	}
+}
+
+// parseFleet is the /v1/fleet parse step.
+func (s *Server) parseFleet(body []byte) (job, error) {
+	var req FleetRequest
+	if err := decodeBytes(body, &req); err != nil {
+		return job{}, err
+	}
+	return s.fleetJob(req, func(rep *fleet.Report) any { return fleetResponse(rep) })
+}
+
+// parseRun is the /v1/run parse step. A single badge is a one-element
+// batch pinned to every axis, so /v1/run shares the fleet engine — and its
+// cancellation points — wholesale.
+func (s *Server) parseRun(body []byte) (job, error) {
+	var req RunRequest
+	if err := decodeBytes(body, &req); err != nil {
+		return job{}, err
+	}
+	freq := FleetRequest{
+		Badges:    1,
+		Seed:      req.Seed,
+		Workers:   1,
+		TimeoutMS: req.TimeoutMS,
+	}
+	if req.App != "" {
+		freq.Apps = []string{req.App}
+	}
+	if req.Policy != "" {
+		freq.Policies = []string{req.Policy}
+	}
+	if req.DPM != "" {
+		freq.DPMs = []string{req.DPM}
+	}
+	return s.fleetJob(freq, func(rep *fleet.Report) any {
+		return RunResponse{Status: "ok", Badge: badgeJSON(rep.Badges[0])}
+	})
+}
+
+// parseThresholds is the /v1/thresholds parse step.
+func (s *Server) parseThresholds(body []byte) (job, error) {
+	var req ThresholdsRequest
+	if err := decodeBytes(body, &req); err != nil {
+		return job{}, err
+	}
+	cfg := changepoint.DefaultConfig(req.Rates)
+	if req.WindowSize > 0 {
+		cfg.WindowSize = req.WindowSize
+	}
+	if req.Confidence > 0 {
+		cfg.Confidence = req.Confidence
+	}
+	if req.CharacterisationWindows > 0 {
+		cfg.CharacterisationWindows = req.CharacterisationWindows
+	}
+	if req.Seed != 0 {
+		cfg.Seed = req.Seed
+	}
+	if err := cfg.Validate(); err != nil {
+		return job{}, err
+	}
+	return job{req.TimeoutMS, func(ctx context.Context) (any, error) {
+		// The characterisation itself is not context-aware (it is the
+		// cached, offline Monte Carlo step); the deadline covers queue wait
+		// and is checked once it returns, and a characterisation that
+		// outlives its requester still warms the cache.
+		th, err := s.characterise(cfg)
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
+			return nil, err
+		}
+		set := th.Snapshot()
+		return ThresholdsResponse{
+			Status:     "ok",
+			WindowSize: set.WindowSize,
+			Confidence: set.Confidence,
+			Ratios:     set.Ratios,
+			Values:     set.Values,
+		}, nil
+	}}, nil
+}
+
+// fleetJob validates a FleetRequest against the server limits, lowers it
+// to the canonical fleet.Config (fleet.Validate fills the default axes and
+// applies the axis spelling rule), surfacing typos as 400s now rather than
+// 500s mid-run, and returns the job that runs it and renders the report.
+func (s *Server) fleetJob(req FleetRequest, render func(*fleet.Report) any) (job, error) {
 	if req.Badges < 1 {
-		return fleet.Config{}, fmt.Errorf("badges must be >= 1, got %d", req.Badges)
+		return job{}, fmt.Errorf("badges must be >= 1, got %d", req.Badges)
 	}
 	if req.Badges > s.cfg.MaxBadges {
-		return fleet.Config{}, fmt.Errorf("badges %d exceeds the server limit %d", req.Badges, s.cfg.MaxBadges)
+		return job{}, fmt.Errorf("badges %d exceeds the server limit %d", req.Badges, s.cfg.MaxBadges)
 	}
 	if req.TimeoutMS < 0 {
-		return fleet.Config{}, fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
+		return job{}, fmt.Errorf("timeout_ms must be >= 0, got %d", req.TimeoutMS)
 	}
 	pols := make([]experiments.PolicyKind, 0, len(req.Policies))
 	for _, p := range req.Policies {
 		k, err := experiments.ParsePolicyKind(p)
 		if err != nil {
-			return fleet.Config{}, err
+			return job{}, err
 		}
 		pols = append(pols, k)
 	}
-	cfg := fleet.Config{
+	cfg, err := fleet.Validate(fleet.Config{
 		Badges:   req.Badges,
 		Seed:     req.Seed,
 		Workers:  req.Workers,
-		Apps:     canonicalNames(req.Apps),
+		Apps:     req.Apps,
 		Policies: pols,
-		DPMs:     canonicalNames(req.DPMs),
+		DPMs:     req.DPMs,
+	})
+	if err != nil {
+		return job{}, err
 	}
-	// Surface app/DPM typos as 400s now rather than 500s mid-run: the spec
-	// derivation is the cheap, pure part of the engine.
-	if _, err := fleet.Validate(cfg); err != nil {
-		return fleet.Config{}, err
-	}
-	return cfg, nil
-}
-
-// canonicalNames applies ParsePolicyKind's spelling rule (trimmed,
-// lowercase) to an app or DPM axis, so every run axis accepts the same
-// spellings; fleet.Validate then matches the names exactly.
-func canonicalNames(names []string) []string {
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = strings.ToLower(strings.TrimSpace(n))
-	}
-	return out
+	return job{req.TimeoutMS, func(ctx context.Context) (any, error) {
+		rep, err := s.engineFleet(ctx, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return render(rep), nil
+	}}, nil
 }
 
 func badgeJSON(b fleet.BadgeResult) BadgeJSON {
@@ -334,201 +474,6 @@ func fleetResponse(rep *fleet.Report) FleetResponse {
 		})
 	}
 	return resp
-}
-
-func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer observeLatency(&s.rFleet, start)
-	s.rFleet.requests.Inc()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	body, ok := s.readBody(w, r, &s.rFleet)
-	if !ok {
-		return
-	}
-	var req FleetRequest
-	if err := decodeBytes(body, &req); err != nil {
-		s.rFleet.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	cfg, err := s.parseFleetConfig(req)
-	if err != nil {
-		s.rFleet.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// cfg passed fleet.Validate above, so Hash cannot fail here.
-	scope, _ := cfg.Hash()
-	key, err := idemKey(r, "fleet", scope, body)
-	if err != nil {
-		s.rFleet.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.serveIdempotent(w, r, &s.rFleet, key, func() response {
-		ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-		defer cancel()
-		release, err := s.admit(ctx)
-		if err != nil {
-			return s.admitResponse(err)
-		}
-		defer release()
-		rep, err := s.engineFleet(ctx, cfg)
-		if err != nil {
-			if ctx.Err() != nil {
-				s.cCanceled.Inc()
-				return cancelledResponse()
-			}
-			return respJSON(http.StatusInternalServerError, errorResponse{Status: "error", Error: err.Error()})
-		}
-		return respJSON(http.StatusOK, fleetResponse(rep))
-	})
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer observeLatency(&s.rRun, start)
-	s.rRun.requests.Inc()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	body, ok := s.readBody(w, r, &s.rRun)
-	if !ok {
-		return
-	}
-	var req RunRequest
-	if err := decodeBytes(body, &req); err != nil {
-		s.rRun.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// A single badge is a one-element batch pinned to every axis, so /v1/run
-	// shares the fleet engine — and its cancellation points — wholesale.
-	freq := FleetRequest{
-		Badges:    1,
-		Seed:      req.Seed,
-		Workers:   1,
-		TimeoutMS: req.TimeoutMS,
-	}
-	if req.App != "" {
-		freq.Apps = []string{req.App}
-	}
-	if req.Policy != "" {
-		freq.Policies = []string{req.Policy}
-	}
-	if req.DPM != "" {
-		freq.DPMs = []string{req.DPM}
-	}
-	cfg, err := s.parseFleetConfig(freq)
-	if err != nil {
-		s.rRun.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// cfg passed fleet.Validate above, so Hash cannot fail here.
-	scope, _ := cfg.Hash()
-	key, err := idemKey(r, "run", scope, body)
-	if err != nil {
-		s.rRun.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.serveIdempotent(w, r, &s.rRun, key, func() response {
-		ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-		defer cancel()
-		release, err := s.admit(ctx)
-		if err != nil {
-			return s.admitResponse(err)
-		}
-		defer release()
-		rep, err := s.engineFleet(ctx, cfg)
-		if err != nil {
-			if ctx.Err() != nil {
-				s.cCanceled.Inc()
-				return cancelledResponse()
-			}
-			return respJSON(http.StatusInternalServerError, errorResponse{Status: "error", Error: err.Error()})
-		}
-		return respJSON(http.StatusOK, RunResponse{Status: "ok", Badge: badgeJSON(rep.Badges[0])})
-	})
-}
-
-func (s *Server) handleThresholds(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer observeLatency(&s.rThr, start)
-	s.rThr.requests.Inc()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	body, ok := s.readBody(w, r, &s.rThr)
-	if !ok {
-		return
-	}
-	var req ThresholdsRequest
-	if err := decodeBytes(body, &req); err != nil {
-		s.rThr.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	cfg := changepoint.DefaultConfig(req.Rates)
-	if req.WindowSize > 0 {
-		cfg.WindowSize = req.WindowSize
-	}
-	if req.Confidence > 0 {
-		cfg.Confidence = req.Confidence
-	}
-	if req.CharacterisationWindows > 0 {
-		cfg.CharacterisationWindows = req.CharacterisationWindows
-	}
-	if req.Seed != 0 {
-		cfg.Seed = req.Seed
-	}
-	if err := cfg.Validate(); err != nil {
-		s.rThr.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// Thresholds have no fleet config hash; the body hash inside the key
-	// already pins every knob.
-	key, err := idemKey(r, "thresholds", "", body)
-	if err != nil {
-		s.rThr.failures.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.serveIdempotent(w, r, &s.rThr, key, func() response {
-		ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-		defer cancel()
-		release, err := s.admit(ctx)
-		if err != nil {
-			return s.admitResponse(err)
-		}
-		defer release()
-		// The characterisation itself is not context-aware (it is the cached,
-		// offline Monte Carlo step); the deadline covers queue wait, and a
-		// characterisation that outlives its requester still warms the cache.
-		th, err := s.characterise(cfg)
-		if err != nil {
-			return respJSON(http.StatusInternalServerError, errorResponse{Status: "error", Error: err.Error()})
-		}
-		if ctx.Err() != nil {
-			s.cCanceled.Inc()
-			return cancelledResponse()
-		}
-		set := th.Snapshot()
-		return respJSON(http.StatusOK, ThresholdsResponse{
-			Status:     "ok",
-			WindowSize: set.WindowSize,
-			Confidence: set.Confidence,
-			Ratios:     set.Ratios,
-			Values:     set.Values,
-		})
-	})
 }
 
 // healthResponse is the /healthz body. InFlight/Queued are point-in-time

@@ -116,10 +116,12 @@ func (c *idemCache) len() int {
 
 // idemKey derives the dedup key for one request, or "" when the client
 // sent no Idempotency-Key header (no dedup). The client's token is scoped
-// by route, by the canonical config hash (so a token reused across
-// different work cannot collide) and by the raw body hash (so the token
-// covers exactly the bytes the client sent).
-func idemKey(r *http.Request, route, scope string, body []byte) (string, error) {
+// by route and by the raw body's SHA-256, so a token reused across
+// different work cannot collide and covers exactly the bytes the client
+// sent. Every request field that determines the response is in those
+// bytes, so no derived hash of the parsed config could split or merge two
+// keys.
+func idemKey(r *http.Request, route string, body []byte) (string, error) {
 	hdr := r.Header.Get("Idempotency-Key")
 	if hdr == "" {
 		return "", nil
@@ -128,7 +130,7 @@ func idemKey(r *http.Request, route, scope string, body []byte) (string, error) 
 		return "", fmt.Errorf("Idempotency-Key exceeds %d bytes", maxIdemKeyLen)
 	}
 	sum := sha256.Sum256(body)
-	return route + "\x00" + hdr + "\x00" + scope + "\x00" + hex.EncodeToString(sum[:]), nil
+	return route + "\x00" + hdr + "\x00" + hex.EncodeToString(sum[:]), nil
 }
 
 // serveIdempotent answers r with the idempotency contract: leaders run

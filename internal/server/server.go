@@ -7,6 +7,16 @@
 //
 // # Request handling
 //
+// The three POST routes run one pipeline (post in handlers.go): method
+// check, capped body read, the route's parse step, idempotency key,
+// admission, the run under the request context, then render. A route
+// contributes only its parse step, which strictly decodes the body,
+// validates it against the server limits and returns a job: the body's
+// timeout_ms and the engine work to run. Any parse error is a 400. A run
+// error answers 504 "cancelled" when the request context is done by then
+// and 500 otherwise, on every route; each route's requests, failures and
+// latency_ms metrics are updated in that one place.
+//
 // Admission control is a bounded queue in front of a fixed-size execution
 // slot pool: at most MaxInFlight requests run engine work concurrently,
 // at most QueueDepth more wait for a slot, and anything beyond that is shed
@@ -92,8 +102,8 @@ type Config struct {
 	ReadHeaderTimeout time.Duration
 }
 
-// route bundles one endpoint's pre-resolved instruments (obs handles are
-// resolved once at construction, per the obs discipline).
+// route bundles one POST endpoint's pre-resolved instruments (obs handles
+// are resolved once, when post builds the handler, per the obs discipline).
 type route struct {
 	requests  *obs.Counter
 	failures  *obs.Counter
@@ -128,10 +138,6 @@ type Server struct {
 	gCacheMis   *obs.Gauge
 	gCacheShr   *obs.Gauge
 	gCacheHit   *obs.Gauge
-
-	rFleet route
-	rRun   route
-	rThr   route
 
 	// Engine seams; production wiring in New, replaced by tests to model
 	// slow or blocking work without burning CPU.
@@ -169,46 +175,31 @@ func New(cfg Config) *Server {
 	cache := experiments.ThresholdCache()
 	m := obs.NewRegistry()
 	s := &Server{
-		cfg:         cfg,
-		cache:       cache,
-		mux:         http.NewServeMux(),
-		sem:         make(chan struct{}, cfg.MaxInFlight),
-		idem:        newIdemCache(cfg.IdemEntries),
-		metrics:     m,
-		gQueue:      m.Gauge("server.queue.depth"),
-		gInFlight:   m.Gauge("server.inflight"),
-		cShed:       m.Counter("server.shed"),
-		cCanceled:   m.Counter("server.cancelled"),
-		cIdemMiss:   m.Counter("server.idem.miss"),
-		cIdemJoin:   m.Counter("server.idem.join"),
-		cIdemReplay: m.Counter("server.idem.replay"),
-		cEngineFlt:  m.Counter("server.engine.fleet_runs"),
-		gCacheMem:   m.Gauge("server.thrcache.mem_hits"),
-		gCacheDsk:   m.Gauge("server.thrcache.disk_hits"),
-		gCacheMis:   m.Gauge("server.thrcache.misses"),
-		gCacheShr:   m.Gauge("server.thrcache.shared"),
-		gCacheHit:   m.Gauge("server.thrcache.hit_ratio"),
-		rFleet: route{
-			requests:  m.Counter("server.fleet.requests"),
-			failures:  m.Counter("server.fleet.failures"),
-			latencyMS: m.Histogram("server.fleet.latency_ms", latencyBucketsMS),
-		},
-		rRun: route{
-			requests:  m.Counter("server.run.requests"),
-			failures:  m.Counter("server.run.failures"),
-			latencyMS: m.Histogram("server.run.latency_ms", latencyBucketsMS),
-		},
-		rThr: route{
-			requests:  m.Counter("server.thresholds.requests"),
-			failures:  m.Counter("server.thresholds.failures"),
-			latencyMS: m.Histogram("server.thresholds.latency_ms", latencyBucketsMS),
-		},
-		runFleet: fleet.RunCtx,
+		cfg:          cfg,
+		cache:        cache,
+		mux:          http.NewServeMux(),
+		sem:          make(chan struct{}, cfg.MaxInFlight),
+		idem:         newIdemCache(cfg.IdemEntries),
+		metrics:      m,
+		gQueue:       m.Gauge("server.queue.depth"),
+		gInFlight:    m.Gauge("server.inflight"),
+		cShed:        m.Counter("server.shed"),
+		cCanceled:    m.Counter("server.cancelled"),
+		cIdemMiss:    m.Counter("server.idem.miss"),
+		cIdemJoin:    m.Counter("server.idem.join"),
+		cIdemReplay:  m.Counter("server.idem.replay"),
+		cEngineFlt:   m.Counter("server.engine.fleet_runs"),
+		gCacheMem:    m.Gauge("server.thrcache.mem_hits"),
+		gCacheDsk:    m.Gauge("server.thrcache.disk_hits"),
+		gCacheMis:    m.Gauge("server.thrcache.misses"),
+		gCacheShr:    m.Gauge("server.thrcache.shared"),
+		gCacheHit:    m.Gauge("server.thrcache.hit_ratio"),
+		runFleet:     fleet.RunCtx,
+		characterise: cache.Characterise,
 	}
-	s.characterise = cache.Characterise
-	s.mux.HandleFunc("/v1/fleet", s.handleFleet)
-	s.mux.HandleFunc("/v1/run", s.handleRun)
-	s.mux.HandleFunc("/v1/thresholds", s.handleThresholds)
+	s.mux.HandleFunc("/v1/fleet", s.post("fleet", s.parseFleet))
+	s.mux.HandleFunc("/v1/run", s.post("run", s.parseRun))
+	s.mux.HandleFunc("/v1/thresholds", s.post("thresholds", s.parseThresholds))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.httpd = &http.Server{

@@ -236,26 +236,15 @@ func Key(cfg changepoint.Config) (string, error) {
 }
 
 // Characterise returns the threshold table for cfg, from cache when
-// possible. The returned *Thresholds is shared and must be treated as
-// read-only (its API is). Hits are bit-identical to a fresh
-// changepoint.Characterise(cfg). It is CharacteriseAll of one key, without
-// the batch's slices on the hit path.
+// possible: CharacteriseAll of one config. The returned *Thresholds is
+// shared and must be treated as read-only (its API is). Hits are
+// bit-identical to a fresh changepoint.Characterise(cfg).
 func (c *Cache) Characterise(cfg changepoint.Config) (*changepoint.Thresholds, error) {
-	key, err := Key(cfg)
+	ths, err := c.CharacteriseAll([]changepoint.Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	th, fl, owned := c.lookupLocked(key)
-	c.mu.Unlock()
-	if th != nil {
-		return th, nil
-	}
-	if owned {
-		c.fill([]string{key}, []changepoint.Config{cfg}, []*flight{fl})
-	}
-	<-fl.done
-	return fl.th, fl.err
+	return ths[0], nil
 }
 
 // CharacteriseAll returns the threshold tables for cfgs, in order, from
